@@ -27,11 +27,14 @@ from .geom import (
     Plane,
     Pnp,
     _angle,
+    _arc_point_rows,
     _avg_in_plane,
     _cross,
     _dot,
+    _invalid_pnp_rows,
     _norm,
     _slerp,
+    _slerp_rows,
     get_tolerances,
     z_dir,
 )
@@ -123,6 +126,48 @@ def circle_avg_3d(P0: Pnp, P1: Pnp, w: float) -> Pnp:
     pt, nm = _avg_in_plane(p0, n0, p1s, n1, w, zt, theta)
     wh = w * h
     return Pnp((pt[0] + wh * zt[0], pt[1] + wh * zt[1], pt[2] + wh * zt[2]), nm)
+
+
+def _circle_avg_rows(p0, n0, p1, n1, w):
+    """:func:`circle_avg_3d` over rows.
+
+    ``p0, n0, p1, n1`` are ``(3, m)`` arrays of components and ``w`` has
+    shape ``(m,)``. Returns the averaged points and normals as ``(3, m)``
+    arrays and the mask of rows on which :func:`circle_avg_3d` raises:
+    antipodal normals, or a result that :class:`Pnp` rejects. Every other
+    row equals the scalar result bit for bit: the arithmetic repeats the
+    scalar operations in the same order, and the scalar branches (endpoint
+    weights, linear limit, helix) become masks.
+    """
+    tol = get_tolerances()
+    # every branch runs on every row, and the rows a branch is not taken on
+    # may divide by zero there; rows that really fail are in the mask
+    with np.errstate(all="ignore"):
+        c = _cross(n0, n1)
+        cn = np.sqrt(_dot(c, c))
+        # math.atan2, not np.arctan2: numpy's SIMD atan2 can differ in the last bit
+        theta = np.fromiter(map(math.atan2, cn.tolist(), _dot(n0, n1).tolist()), float, len(w))
+        failed = theta >= math.pi - tol.antipodal
+
+        nm = _slerp_rows(n0, n1, w, theta)
+        linear = (
+            (1.0 - w) * p0[0] + w * p1[0],
+            (1.0 - w) * p0[1] + w * p1[1],
+            (1.0 - w) * p0[2] + w * p1[2],
+        )
+        zt = (c[0] / cn, c[1] / cn, c[2] / cn)
+        h = _dot((p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]), zt)
+        p1s = (p1[0] - h * zt[0], p1[1] - h * zt[1], p1[2] - h * zt[2])
+        arc = _arc_point_rows(p0, p1s, w, theta, c, zt)
+        wh = w * h
+        helix = (arc[0] + wh * zt[0], arc[1] + wh * zt[1], arc[2] + wh * zt[2])
+
+        pt = np.where(theta < tol.theta_linear, linear, helix)
+        start, end = w == 0.0, w == 1.0
+        pt = np.where(start, p0, np.where(end, p1, pt))
+        nm = np.where(start, n0, np.where(end, n1, nm))
+        failed |= _invalid_pnp_rows(pt, nm)
+    return pt, nm, failed
 
 
 def chord_point(p0, p1, w: float) -> np.ndarray:

@@ -14,8 +14,10 @@ Everything here is a pure function of immutable values, so results may be
 shared freely across threads.
 
 Vectors are ``numpy`` arrays of shape ``(3,)`` at the API surface; the inner
-arithmetic runs on plain floats because these functions sit in the hot loop
-of mesh refinement.
+arithmetic runs on plain floats, which keeps a single average cheap. Mesh
+refinement evaluates whole levels with the private ``*_rows`` twins of these
+kernels, which repeat the scalar arithmetic operation for operation on
+arrays of components, so both give the same floats.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ def set_tolerances(tol: Tolerances) -> None:
 
 
 # ---------------------------------------------------------------------------
-# scalar kernels (hot path: plain floats, numpy only at the boundaries)
+# scalar kernels (plain floats, numpy only at the boundaries); the private
+# helpers _dot and _cross also take triples of component arrays
 # ---------------------------------------------------------------------------
 
 def _dot(a, b):
@@ -146,6 +149,17 @@ class Pnp:
 
     def __repr__(self):
         return f"Pnp(point={tuple(self.point)}, normal={tuple(self.normal)})"
+
+
+def _invalid_pnp_rows(points, normals) -> np.ndarray:
+    """Mask of the rows :class:`Pnp` rejects, by the constructor's own checks.
+
+    ``points`` and ``normals`` are ``(3, m)`` arrays or triples of component
+    arrays.
+    """
+    n = np.sqrt(_dot(normals, normals))
+    finite = np.isfinite(points[0]) & np.isfinite(points[1]) & np.isfinite(points[2])
+    return ~finite | ~np.isfinite(n) | (np.abs(n - 1.0) > _active.unit_norm)
 
 
 class Plane:
@@ -222,6 +236,26 @@ def _slerp(n0, n1, w, theta):
     return (x / r, y / r, z / r)
 
 
+def _slerp_rows(n0, n1, w, theta):
+    """:func:`_slerp` over rows, for weights other than 0 and 1.
+
+    ``n0`` and ``n1`` are triples of component arrays, ``w`` and ``theta``
+    arrays of the same length. Each row equals the scalar result bit for bit.
+    """
+    s = np.sin(theta)
+    a = np.sin((1.0 - w) * theta) / s
+    b = np.sin(w * theta) / s
+    # parallel normals: the scalar code's (1 - w) * n0 + w * n1
+    tiny = theta < 1e-12
+    a = np.where(tiny, 1.0 - w, a)
+    b = np.where(tiny, w, b)
+    x = a * n0[0] + b * n1[0]
+    y = a * n0[1] + b * n1[1]
+    z = a * n0[2] + b * n1[2]
+    r = np.sqrt(x * x + y * y + z * z)
+    return (x / r, y / r, z / r)
+
+
 def geodesic_avg(n0, n1, w: float) -> np.ndarray:
     """Geodesic average of two unit vectors with weight ``w``.
 
@@ -283,6 +317,33 @@ def _arc_point(p0, p1, w, theta, n0, n1, nz):
         my + along_b * by + along_t * ty,
         mz + along_b * bz + along_t * tz,
     )
+
+
+def _arc_point_rows(p0, p1, w, theta, orient, nz):
+    """:func:`_arc_point` over rows.
+
+    Points and ``nz`` are triples of component arrays; ``orient`` is the
+    array of ``_cross(n0, n1)`` components, the only use the scalar code
+    makes of the normals. Each row equals the scalar result bit for bit.
+    """
+    cx = p1[0] - p0[0]
+    cy = p1[1] - p0[1]
+    cz = p1[2] - p0[2]
+    d = np.sqrt(cx * cx + cy * cy + cz * cz)
+    t = (cx / d, cy / d, cz / d)
+    s = np.where(_dot(orient, nz) > 0.0, 1.0, -1.0)
+    q = _cross(nz, t)
+    b = (-s * q[0], -s * q[1], -s * q[2])
+    sh = np.sin(0.5 * theta)
+    along_b = d * np.sin(0.5 * w * theta) * np.sin(0.5 * (1.0 - w) * theta) / sh
+    along_t = d * np.sin((w - 0.5) * theta) / (2.0 * sh)
+    pt = (
+        0.5 * (p0[0] + p1[0]) + along_b * b[0] + along_t * t[0],
+        0.5 * (p0[1] + p1[1]) + along_b * b[1] + along_t * t[1],
+        0.5 * (p0[2] + p1[2]) + along_b * b[2] + along_t * t[2],
+    )
+    coincident = d < _active.scale * _active.coincident
+    return tuple(np.where(coincident, start, arc) for start, arc in zip(p0, pt))
 
 
 def _avg_in_plane(p0, n0, p1, n1, w, nz, theta):

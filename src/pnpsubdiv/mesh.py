@@ -259,6 +259,14 @@ def naive_normals(mesh: Mesh) -> np.ndarray:
 # OBJ input / output
 # ---------------------------------------------------------------------------
 
+def _finite_triple(fields) -> tuple[float, float, float]:
+    """The three numbers after an OBJ record's tag; ``nan`` and ``inf`` are refused."""
+    x, y, z = float(fields[1]), float(fields[2]), float(fields[3])
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ValueError("non-finite coordinate")
+    return x, y, z
+
+
 def load_obj(path) -> Mesh:
     """Read a mesh from an OBJ file.
 
@@ -288,14 +296,14 @@ def load_obj(path) -> Mesh:
                 if len(fields) != 4:
                     raise MeshParseError("'v' record needs exactly 3 coordinates", lineno)
                 try:
-                    verts.append((float(fields[1]), float(fields[2]), float(fields[3])))
+                    verts.append(_finite_triple(fields))
                 except ValueError:
                     raise MeshParseError("bad vertex coordinate", lineno) from None
             elif tag == "vn":
                 if len(fields) != 4:
                     raise MeshParseError("'vn' record needs exactly 3 coordinates", lineno)
                 try:
-                    vns.append((float(fields[1]), float(fields[2]), float(fields[3])))
+                    vns.append(_finite_triple(fields))
                 except ValueError:
                     raise MeshParseError("bad normal coordinate", lineno) from None
             elif tag == "f":

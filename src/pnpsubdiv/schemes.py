@@ -9,7 +9,9 @@ same stencils drive both modes:
   display.
 * ``modified``: every stencil is compiled into a chain of weighted binary
   averages and evaluated with the 3D circle average, refining full
-  point-normal pairs.
+  point-normal pairs. A level is folded at once: step ``k`` of every chain
+  is one array evaluation of the circle average, with the same floats as
+  evaluating each chain on its own with :func:`~pnpsubdiv.circle3d.circle_avg_3d`.
 
 Catalog (quad schemes require quad meshes, triangle schemes triangle
 meshes):
@@ -38,11 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle3d import circle_avg_3d
+from .circle3d import _circle_avg_rows, circle_avg_3d
 from .errors import AntipodalNormalsError, ArityMismatchError, MissingNormalsError
-from .geom import Pnp
+from .geom import Pnp, _invalid_pnp_rows
 from .mesh import Mesh, naive_normals
-from .stencil import Stencil, compile_plan, evaluate_plan
+from .stencil import Stencil, compile_plan, compile_table, evaluate_plan
 
 __all__ = ["SchemeKind", "RefinementStep", "refinement_step", "refine_once", "refine"]
 
@@ -285,6 +287,53 @@ def _affine_positions(stencils, vertices) -> np.ndarray:
     return out
 
 
+def _average_one(mesh: Mesh, stencils, i: int) -> Pnp:
+    """Output vertex ``i`` by the scalar path: its plan folded with :func:`circle_avg_3d`."""
+    st = stencils[i]
+    pnps = {j: Pnp(mesh.vertices[j], mesh.normals[j]) for j, _ in st.terms}
+    try:
+        return evaluate_plan(compile_plan(st), pnps, circle_avg_3d)
+    except AntipodalNormalsError as exc:
+        raise AntipodalNormalsError(
+            f"antipodal normals while averaging output vertex {i} "
+            f"(stencil over {[t[0] for t in st.terms]}): {exc}"
+        ) from exc
+
+
+def _circle_fold(mesh: Mesh, stencils) -> tuple[np.ndarray, np.ndarray]:
+    """Points and normals of every stencil, folded with the circle average.
+
+    Step ``k`` of every plan is one call of the row-wise circle average.
+    When rows fail, the lowest-numbered output vertex among them is
+    evaluated again by the scalar path, which raises the error the scalar
+    path would have raised first.
+    """
+    points = np.ascontiguousarray(mesh.vertices.T)
+    normals = np.ascontiguousarray(mesh.normals.T)
+    bad = np.flatnonzero(_invalid_pnp_rows(points, normals))
+    if len(bad):
+        Pnp(mesh.vertices[bad[0]], mesh.normals[bad[0]])  # raises the constructor's error
+    table = compile_table(stencils)
+    pts = points[:, table.first]
+    nms = normals[:, table.first]
+    failed = np.zeros(len(stencils), dtype=bool)
+    for index, w in table.steps:
+        m = len(index)
+        pts[:, :m], nms[:, :m], step_failed = _circle_avg_rows(
+            pts[:, :m], nms[:, :m], points[:, index], normals[:, index], w
+        )
+        failed[:m] |= step_failed
+    if failed.any():
+        i = int(table.rows[failed].min())
+        _average_one(mesh, stencils, i)
+        raise AssertionError(f"output vertex {i} failed the fold but not the scalar average")
+    out_points = np.empty((len(stencils), 3))
+    out_normals = np.empty((len(stencils), 3))
+    out_points[table.rows] = pts.T
+    out_normals[table.rows] = nms.T
+    return out_points, out_normals
+
+
 def refine_once(mesh: Mesh, scheme: SchemeKind) -> Mesh:
     """Apply one refinement step of ``scheme`` to ``mesh``.
 
@@ -293,12 +342,7 @@ def refine_once(mesh: Mesh, scheme: SchemeKind) -> Mesh:
     evaluates every stencil as a chain of circle averages, producing both
     refined points and refined normals.
     """
-    if mesh.arity != scheme.arity:
-        raise ArityMismatchError(
-            f"scheme {scheme.name!r} refines arity-{scheme.arity} meshes, "
-            f"this mesh has arity {mesh.arity}"
-        )
-    step = _STEPS[scheme.base](mesh)
+    step = refinement_step(mesh, scheme.base)
     if not scheme.modified:
         points = _affine_positions(step.stencils, mesh.vertices)
         out = Mesh(points, step.faces)
@@ -306,20 +350,7 @@ def refine_once(mesh: Mesh, scheme: SchemeKind) -> Mesh:
 
     if mesh.normals is None:
         raise MissingNormalsError("modified schemes refine point-normal pairs; attach normals")
-    pnps = [Pnp(mesh.vertices[i], mesh.normals[i]) for i in range(mesh.vertex_count)]
-    points = np.empty((len(step.stencils), 3))
-    normals = np.empty((len(step.stencils), 3))
-    for i, st in enumerate(step.stencils):
-        plan = compile_plan(st)
-        try:
-            res = evaluate_plan(plan, pnps, circle_avg_3d)
-        except AntipodalNormalsError as exc:
-            raise AntipodalNormalsError(
-                f"antipodal normals while averaging output vertex {i} "
-                f"(stencil over {[t[0] for t in st.terms]}): {exc}"
-            ) from exc
-        points[i] = res.point
-        normals[i] = res.normal
+    points, normals = _circle_fold(mesh, step.stencils)
     return Mesh(points, step.faces, normals=normals)
 
 

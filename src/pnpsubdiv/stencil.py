@@ -14,23 +14,29 @@ plans are identical across runs and platforms. (Observed nonlinear results
 are nearly independent of the order, so any fixed order does; the recorded
 spread across orders is checked in the test suite, not asserted.)
 
-``compile_plan`` is memoized: subdivision reuses the same few stencils for
-every vertex of a mesh. Precompute plans before fanning evaluation out to
-threads, or rely on the cache being safe for concurrent readers.
+:func:`compile_plan` and :func:`evaluate_plan` handle one stencil and are
+the scalar reference. Mesh refinement compiles a whole level at once with
+:func:`compile_table`, which yields the same element order and the same
+binary weights for every stencil as arrays, so a level can be folded as a
+few vector steps instead of one plan per output vertex. Neither is cached:
+stencils hold absolute vertex indices, so almost none repeat.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import AffineWeightError, ZeroWeightError
 
 __all__ = [
     "Stencil",
     "AvgPlan",
+    "PlanTable",
     "compile_plan",
+    "compile_table",
     "evaluate_plan",
     "affine_average",
 ]
@@ -62,7 +68,7 @@ class Stencil:
             if weight == 0.0:
                 raise ZeroWeightError(f"zero weight at element {idx}")
             total += weight
-        if abs(total - 1.0) > _SUM_TOL:
+        if not abs(total - 1.0) <= _SUM_TOL:  # also refuses a nan weight
             raise AffineWeightError(f"weights sum to {total!r}, expected 1")
 
     @classmethod
@@ -95,7 +101,6 @@ class AvgPlan:
     steps: tuple[tuple[int, float], ...]
 
 
-@lru_cache(maxsize=65536)
 def compile_plan(stencil: Stencil) -> AvgPlan:
     """Compile ``stencil`` into its canonical chain of binary averages.
 
@@ -116,6 +121,60 @@ def compile_plan(stencil: Stencil) -> AvgPlan:
         steps.append((idx, alpha / denom))
         sigma = denom
     return AvgPlan(first=first_idx, steps=tuple(steps))
+
+
+@dataclass(frozen=True)
+class PlanTable:
+    """The plans of many stencils, step by step as arrays.
+
+    ``rows`` lists the stencil numbers with the longest plan first; position
+    ``r`` of every other array refers to stencil ``rows[r]``. ``first`` holds
+    each plan's first element. ``steps[k - 1]`` is the pair ``(index, w)``
+    of element indices and binary weights of fold step ``k``, for the first
+    ``len(index)`` positions, which are the plans that have a step ``k``.
+    Stencil ``rows[r]`` compiles to the :class:`AvgPlan` with ``first[r]``
+    and the steps ``(index[r], w[r])`` for which ``r < len(index)``.
+    """
+
+    rows: np.ndarray
+    first: np.ndarray
+    steps: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def compile_table(stencils: Sequence[Stencil]) -> PlanTable:
+    """Compile every stencil at once, as :func:`compile_plan` would one by one.
+
+    The terms are put in plan order by a single sort: by stencil, positive
+    weights first, then descending absolute weight, then ascending index.
+    The binary weights are computed from the same running sums, so they are
+    the same floats. Raises :class:`AffineWeightError` like
+    :func:`compile_plan`.
+    """
+    lengths = np.fromiter((len(st.terms) for st in stencils), np.intp, len(stencils))
+    terms = [t for st in stencils for t in st.terms]
+    index = np.fromiter((t[0] for t in terms), np.intp, len(terms))
+    weight = np.fromiter((t[1] for t in terms), float, len(terms))
+    stencil_of = np.repeat(np.arange(len(stencils)), lengths)
+    order = np.lexsort((index, -np.abs(weight), weight < 0.0, stencil_of))
+    index, weight = index[order], weight[order]
+
+    rows = np.argsort(-lengths, kind="stable")
+    starts = (np.cumsum(lengths) - lengths)[rows]
+    lengths = lengths[rows]
+    sigma = weight[starts]
+    if not (sigma > 0.0).all():
+        raise AffineWeightError("stencil has no positive weight")
+    steps = []
+    for k in range(1, int(lengths.max(initial=0))):
+        at = starts[: np.count_nonzero(lengths > k)] + k
+        alpha = weight[at]
+        denom = sigma[: len(at)] + alpha
+        bad = np.flatnonzero(denom <= 0.0)
+        if len(bad):
+            raise AffineWeightError(f"non-positive partial weight sum {float(denom[bad[0]])!r}")
+        steps.append((index[at], alpha / denom))
+        sigma[: len(at)] = denom
+    return PlanTable(rows=rows, first=index[starts], steps=tuple(steps))
 
 
 def evaluate_plan(plan: AvgPlan, elements: Sequence, binop: Callable) -> object:

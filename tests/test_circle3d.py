@@ -15,6 +15,7 @@ from pnpsubdiv import (
     deviation_from_chord,
     helix_trace,
 )
+from pnpsubdiv.circle3d import _circle_avg_rows
 from pnpsubdiv.errors import AntipodalNormalsError, ParallelNormalsError
 
 SQ2 = math.sqrt(0.5)
@@ -361,3 +362,86 @@ def test_avg_context_fields():
     chord = p1.point - p0.point
     assert abs(ctx.hbar - abs(float(chord @ ctx.z))) < 1e-15
     assert 0.0 <= ctx.phi <= math.pi
+
+
+# ---------------------------------------------------------------------------
+# row-wise twin used by mesh refinement: bit-identical to circle_avg_3d
+# ---------------------------------------------------------------------------
+
+def _rows(pairs, weights):
+    """The row kernel on ``pairs``, stacked as ``(3, m)`` component arrays."""
+    p0 = np.array([a.point for a, _ in pairs]).T
+    n0 = np.array([a.normal for a, _ in pairs]).T
+    p1 = np.array([b.point for _, b in pairs]).T
+    n1 = np.array([b.normal for _, b in pairs]).T
+    return _circle_avg_rows(p0, n0, p1, n1, np.array(weights, dtype=float))
+
+
+def _rows_vs_scalar(pairs, weights):
+    got = _rows(pairs, weights)
+    want = [circle_avg_3d(a, b, w) for (a, b), w in zip(pairs, weights)]
+    return got, want
+
+
+def _assert_rows_equal(got, want):
+    pt, nm, failed = got
+    assert not failed.any()
+    assert np.array_equal(pt.T, np.array([r.point for r in want]))
+    assert np.array_equal(nm.T, np.array([r.normal for r in want]))
+
+
+def test_rows_match_scalar_bit_for_bit(rng):
+    pairs, weights = [], []
+    for _ in range(400):
+        pairs.append(random_pnp_pair(rng, spread=float(rng.uniform(0.01, 100.0))))
+        weights.append(float(rng.choice([rng.uniform(-0.5, 1.5), 0.0, 1.0, 0.375, -0.0625])))
+    _assert_rows_equal(*_rows_vs_scalar(pairs, weights))
+
+
+@pytest.mark.parametrize("angle", [0.0, 1e-13, 1e-10, 2e-9])
+def test_rows_match_scalar_near_parallel_normals(rng, angle):
+    n0 = random_unit(rng)
+    axis = np.cross(n0, random_unit(rng))
+    axis /= np.linalg.norm(axis)
+    n1 = n0 * math.cos(angle) + np.cross(axis, n0) * math.sin(angle)
+    pairs = [(Pnp(rng.normal(size=3), n0), Pnp(rng.normal(size=3), n1)) for _ in range(20)]
+    weights = list(rng.uniform(-0.5, 1.5, size=20))
+    _assert_rows_equal(*_rows_vs_scalar(pairs, weights))
+
+
+def test_rows_match_scalar_on_coincident_chord():
+    # chord p0 -> p1 parallel to z_dir(n0, n1): the projected chord vanishes
+    n0 = np.array([1.0, 0.0, 0.0])
+    n1 = np.array([SQ2, SQ2, 0.0])
+    p0 = np.array([0.5, -1.0, 2.0])
+    pairs = [(Pnp(p0, n0), Pnp(p0 + np.array([0.0, 0.0, h]), n1)) for h in (1.0, -3.0, 1e-3)]
+    weights = [0.25, 0.5, 1.25]
+    got, want = _rows_vs_scalar(pairs, weights)
+    _assert_rows_equal(got, want)
+    # the point moves straight along z, as the scalar coincident branch does
+    assert np.array_equal(got[0][:2], np.tile(p0[:2, None], (1, 3)))
+
+
+def test_rows_flag_exactly_the_pairs_the_scalar_average_rejects():
+    up, down = np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])
+    side = np.array([1.0, 0.0, 0.0])
+    big = 1e308
+    pairs = [
+        (Pnp((0, 0, 0), up), Pnp((1, 0, 0), down)),  # antipodal
+        (Pnp((0, 0, 0), up), Pnp((1, 0, 0), side)),
+        (Pnp((-big, 0, 0), up), Pnp((big, 0, 0), side)),  # the chord overflows
+        (Pnp((0, 0, 0), up), Pnp((1, 0, 0), down)),  # antipodal at an endpoint weight
+    ]
+    weights = [0.5, 0.5, 0.5, 0.0]
+    rejected = []
+    for (a, b), w in zip(pairs, weights):
+        try:
+            with np.errstate(all="ignore"):
+                circle_avg_3d(a, b, w)
+        except (AntipodalNormalsError, ValueError):
+            rejected.append(True)
+        else:
+            rejected.append(False)
+    assert rejected == [True, False, True, True]
+    _, _, failed = _rows(pairs, weights)
+    assert failed.tolist() == rejected

@@ -255,6 +255,17 @@ def test_obj_parse_error_carries_line_number(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("record", ["v nan 0 0", "v 0 inf 0", "vn 0 0 -inf", "vn nan 0 1"])
+def test_obj_non_finite_coordinates_rejected(tmp_path, record):
+    lines = ["v 0 0 0", "v 1 0 0", "v 0 1 0", "vn 0 0 1", "f 1//1 2//1 3//1"]
+    lines.insert(2, record)
+    path = tmp_path / "nonfinite.obj"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshParseError) as err:
+        load_obj(path)
+    assert err.value.line == 3
+
+
 def test_obj_mixed_arity_rejected(tmp_path):
     path = tmp_path / "mixed.obj"
     path.write_text(

@@ -16,8 +16,11 @@ from meshes import (
 )
 from pnpsubdiv import (
     Mesh,
+    Pnp,
     SchemeKind,
+    Stencil,
     affine_average,
+    circle_avg_3d,
     compile_plan,
     evaluate_plan,
     naive_normals,
@@ -25,7 +28,8 @@ from pnpsubdiv import (
     refine_once,
     refinement_step,
 )
-from pnpsubdiv.errors import ArityMismatchError, MissingNormalsError
+from pnpsubdiv.errors import AntipodalNormalsError, ArityMismatchError, MissingNormalsError
+from pnpsubdiv.schemes import _circle_fold
 
 ALL_BASES = ["cc", "lp", "k4", "by"]
 
@@ -268,3 +272,75 @@ def test_modified_deterministic():
     b = refine(m, SchemeKind("lp", modified=True), 2)
     assert np.array_equal(a.vertices, b.vertices)
     assert np.array_equal(a.normals, b.normals)
+
+
+# ---------------------------------------------------------------------------
+# the level-batched fold against the scalar oracle
+# ---------------------------------------------------------------------------
+
+def _posed_torus(base, rng, normal_kind):
+    """A randomly posed small torus with perturbed naive or all-equal normals."""
+    mesh = torus_quad(12, 6) if base in ("cc", "k4") else torus_tri(12, 6)
+    mesh = Mesh(mesh.vertices @ random_rotation(rng).T * 2.5 + rng.normal(size=3), mesh.faces)
+    if normal_kind == "equal":
+        n = np.tile(rng.normal(size=3), (mesh.vertex_count, 1))
+    else:
+        n = naive_normals(mesh) + rng.normal(scale=0.2, size=(mesh.vertex_count, 3))
+    return mesh.with_normals(n / np.linalg.norm(n, axis=1)[:, None])
+
+
+@pytest.mark.parametrize("normal_kind", ["perturbed", "equal"])
+@pytest.mark.parametrize("base", ALL_BASES)
+def test_modified_refine_equals_scalar_oracle(base, normal_kind, rng):
+    """Every output vertex equals its plan folded by circle_avg_3d, bit for bit.
+
+    All-equal normals take the linear-limit branch of the circle average on
+    every step of the first level.
+    """
+    mesh = _posed_torus(base, rng, normal_kind)
+    for _ in range(2):
+        step = refinement_step(mesh, base)
+        pnps = [Pnp(mesh.vertices[i], mesh.normals[i]) for i in range(mesh.vertex_count)]
+        want = [evaluate_plan(compile_plan(st), pnps, circle_avg_3d) for st in step.stencils]
+        points = np.array([r.point for r in want])
+        normals = np.array([r.normal for r in want])
+        got_points, got_normals = _circle_fold(mesh, step.stencils)
+        assert np.array_equal(got_points, points)
+        assert np.array_equal(got_normals, normals)
+        out = refine_once(mesh, SchemeKind(base, modified=True))
+        ref = Mesh(points, step.faces, normals=normals)
+        assert np.array_equal(out.vertices, ref.vertices)
+        assert np.array_equal(out.normals, ref.normals)
+        mesh = out
+
+
+def test_antipodal_error_names_output_vertex_and_stencil():
+    normals = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(AntipodalNormalsError) as err:
+        refine_once(tetrahedron().with_normals(normals), SchemeKind("lp", modified=True))
+    assert str(err.value) == (
+        "antipodal normals while averaging output vertex 0 (stencil over [0, 1, 2, 3]): "
+        "circle average undefined for antipodal normals"
+    )
+
+
+def test_fold_reports_the_lowest_failing_output_vertex():
+    # output vertex 0 fails on its second step; vertex 1, whose longer plan
+    # the fold puts first, on its first step. The scalar path evaluates
+    # vertex 0 first and fails there.
+    normals = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    mesh = tetrahedron().with_normals(normals)
+    stencils = (
+        Stencil(((0, 0.5), (2, 0.375), (1, 0.125))),
+        Stencil(((1, 0.4), (0, 0.3), (2, 0.2), (3, 0.1))),
+    )
+    with pytest.raises(AntipodalNormalsError, match="output vertex 0 "):
+        _circle_fold(mesh, stencils)
+
+
+def test_non_finite_intermediate_point_raises_value_error():
+    # coordinates near the float limit: the chord of a circle average overflows
+    m = tetrahedron()
+    huge = Mesh(m.vertices * 1e308, m.faces, normals=naive_normals(m))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="point components must be finite"):
+        refine_once(huge, SchemeKind("lp", modified=True))

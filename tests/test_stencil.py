@@ -13,6 +13,7 @@ from pnpsubdiv import (
     evaluate_plan,
 )
 from pnpsubdiv.errors import AffineWeightError, ZeroWeightError
+from pnpsubdiv.stencil import compile_table
 
 
 def test_stencil_rejects_bad_weights():
@@ -24,6 +25,8 @@ def test_stencil_rejects_bad_weights():
         Stencil(((0, 0.5), (0, 0.5)))
     with pytest.raises(AffineWeightError):
         Stencil(())
+    with pytest.raises(AffineWeightError):
+        Stencil(((0, math.nan), (1, 1.0)))
 
 
 def test_merged_collapses_duplicates_and_zeros():
@@ -150,3 +153,46 @@ def test_order_insensitivity_recorded(rng):
         spread = max(spread, float(np.linalg.norm(a.point - b.point)))
     print(f"\nrecorded: circle-average spread across summand orders = {spread:.3e}")
     assert math.isfinite(spread)
+
+
+# ---------------------------------------------------------------------------
+# whole-level compilation
+# ---------------------------------------------------------------------------
+
+def _table_plans(table):
+    """The AvgPlan of every stencil, read back from a PlanTable."""
+    plans = {}
+    for r, row in enumerate(table.rows):
+        steps = tuple((int(idx[r]), float(w[r])) for idx, w in table.steps if r < len(idx))
+        plans[int(row)] = AvgPlan(first=int(table.first[r]), steps=steps)
+    return [plans[i] for i in range(len(plans))]
+
+
+def test_compile_table_equals_compile_plan(rng):
+    stencils = [_random_affine_stencil(rng, max_terms=12) for _ in range(300)]
+    # equal weights tie-broken by index, an identity stencil, negative taps
+    stencils += [Stencil(((7, 0.25), (3, 0.25), (5, 0.25), (1, 0.25))), Stencil(((4, 1.0),))]
+    stencils += [Stencil(((2, 9 / 16), (0, 9 / 16), (9, -1 / 16), (6, -1 / 16)))]
+    assert _table_plans(compile_table(stencils)) == [compile_plan(st) for st in stencils]
+
+
+def _unchecked(terms):
+    """A Stencil that skips validation, as a caller bypassing it could build."""
+    st = object.__new__(Stencil)
+    object.__setattr__(st, "terms", terms)
+    return st
+
+
+@pytest.mark.parametrize(
+    "terms,message",
+    [
+        (((0, -0.5), (1, -0.5)), "no positive weight"),
+        (((0, 0.5), (1, -0.7)), "non-positive partial weight sum"),
+    ],
+)
+def test_compile_rejects_non_positive_partial_sums(terms, message):
+    good = Stencil(((0, 0.5), (1, 0.5)))
+    with pytest.raises(AffineWeightError, match=message):
+        compile_plan(_unchecked(terms))
+    with pytest.raises(AffineWeightError, match=message):
+        compile_table([good, _unchecked(terms)])
