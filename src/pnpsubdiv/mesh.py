@@ -3,28 +3,37 @@
 A :class:`Mesh` is immutable after construction. Building one validates the
 full topology contract: every face is a triangle or every face is a quad,
 every edge has exactly two incident faces with opposite orientations, and
-the faces around each vertex close into a single umbrella. The ordered
-one-ring of every vertex and the two faces of every edge are precomputed, so
-reads are cheap and safe to share across threads.
+the faces around each vertex close into a single umbrella.
 
-One-rings are ordered consistently with the face orientation: for an
-outward-oriented mesh the ring runs counterclockwise seen from outside, and
-``ring_faces[i]`` sits between ``ring_vertices[i]`` and
-``ring_vertices[i + 1]``. Each face contributes exactly one wedge at each of
-its corners (for quads the wedge spans the two face edges at the corner, not
-the diagonal), so wedge count equals valence for both arities. The naive
-vertex normal is the angle-weighted average of the wedge normals.
+Topology is held as flat half-edge arrays (Botsch et al., *Polygon Mesh
+Processing*, ch. 2). With ``a`` the face arity, corner ``h = a * f + j`` is
+the half-edge from ``faces[f, j]`` to ``faces[f, (j + 1) % a]``. Its origin,
+its successor and predecessor in the face, and its face are arithmetic on
+``h`` (:attr:`Mesh.origin`, :meth:`Mesh.next_half`, :meth:`Mesh.prev_half`,
+``h // a``). Two arrays are stored, one entry per half-edge: ``twin[h]``,
+the opposite half-edge in the neighbouring face, and ``edge[h]``, the
+undirected edge ``h`` runs along. Edges are numbered by their ``u < v``
+half-edges in corner order; ``edges[e]`` is ``(u, v)`` and
+``edge_faces[e]`` the faces of that half-edge and of its twin.
+``twin[prev(h)]`` is the next half-edge out of the same vertex, so one-rings
+are walks around a vertex (:meth:`Mesh.around`).
+
+Each face corner is exactly one wedge of its vertex's one-ring (for quads
+the wedge spans the two face edges at the corner, not the diagonal), so
+wedge count equals valence for both arities, and per-vertex sums over
+wedges are sums over corners. The naive vertex normal is the angle-weighted
+average of the wedge normals.
 
 File formats: a small OBJ subset (``v``, ``vn``, ``f`` with ``v``, ``v/t``,
-``v//n`` and ``v/t/n`` references, 1-based indices, one normal per vertex)
-and PLY export with optional per-vertex colors.
+``v//n`` and ``v/t/n`` references, 1-based or negative relative indices,
+one normal per vertex) and PLY export with optional per-vertex colors.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -47,16 +56,7 @@ _NORMAL_SLACK = 1e-6
 class Mesh:
     """Indexed closed 2-manifold mesh, all triangles or all quads."""
 
-    __slots__ = (
-        "vertices",
-        "normals",
-        "faces",
-        "edges",
-        "edge_faces",
-        "_edge_index",
-        "_ring_vertices",
-        "_ring_faces",
-    )
+    __slots__ = ("vertices", "normals", "faces", "edges", "edge_faces", "twin", "edge")
 
     def __init__(self, vertices, faces, normals=None):
         verts = np.array(vertices, dtype=float)
@@ -78,7 +78,7 @@ class Mesh:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "faces", face_arr)
         object.__setattr__(self, "normals", self._checked_normals(normals, len(verts)))
-        self._build_adjacency()
+        self._build_half_edges()
         verts.setflags(write=False)
         face_arr.setflags(write=False)
 
@@ -87,6 +87,7 @@ class Mesh:
 
     @staticmethod
     def _checked_normals(normals, n_vertices) -> Optional[np.ndarray]:
+        """Read-only normals; rows off unit length by more than ``unit_norm`` are rescaled."""
         if normals is None:
             return None
         arr = np.array(normals, dtype=float)
@@ -95,81 +96,102 @@ class Mesh:
         lengths = np.linalg.norm(arr, axis=1)
         if not np.isfinite(lengths).all() or np.abs(lengths - 1.0).max() > _NORMAL_SLACK:
             raise ValueError("normals must be unit length (within 1e-6)")
-        arr /= lengths[:, None]
+        off = np.abs(lengths - 1.0) > get_tolerances().unit_norm
+        arr[off] /= lengths[off, None]
         arr.setflags(write=False)
         return arr
 
-    def _build_adjacency(self):
+    def _build_half_edges(self):
+        """Validate the topology and store ``twin``, ``edge``, ``edges`` and ``edge_faces``.
+
+        Each error names the first face, half-edge or vertex at fault. Faces
+        are checked first (a repeated vertex, a directed edge used twice),
+        then twins, then vertices (in no face, more than one face fan).
+        """
         n_verts = len(self.vertices)
-        arity = self.faces.shape[1]
+        faces = self.faces
+        arity = faces.shape[1]
+        origin = faces.reshape(-1)
+        h = np.arange(len(origin))
+        dest = origin[self.next_half(h)]
 
-        directed = {}
-        for fi, face in enumerate(self.faces):
-            f = face.tolist()
-            if len(set(f)) != arity:
-                raise NonManifoldError(f"face {fi} repeats a vertex")
-            for j in range(arity):
-                key = (f[j], f[(j + 1) % arity])
-                if key in directed:
-                    raise NonManifoldError(
-                        f"directed edge {key} appears in faces {directed[key]} and {fi}"
-                    )
-                directed[key] = fi
+        sorted_corners = np.sort(faces, axis=1)
+        repeats = np.flatnonzero((sorted_corners[:, 1:] == sorted_corners[:, :-1]).any(axis=1))
+        key = origin * n_verts + dest
+        order = np.argsort(key, kind="stable")
+        key_sorted = key[order]
+        dup = np.flatnonzero(key_sorted[1:] == key_sorted[:-1])
+        g = order[dup + 1].min(initial=len(h))  # first half-edge repeating an earlier one
+        if repeats.min(initial=len(faces) + 1) <= g // arity:
+            raise NonManifoldError(f"face {repeats[0]} repeats a vertex")
+        if len(dup):
+            first = order[np.searchsorted(key_sorted, key[g])]
+            raise NonManifoldError(
+                f"directed edge ({origin[g]}, {dest[g]}) appears in faces "
+                f"{first // arity} and {g // arity}"
+            )
 
-        edge_index = {}
-        edges = []
-        edge_faces = []
-        for (u, v), fi in directed.items():
-            if (v, u) not in directed:
-                raise OpenBoundaryError(f"edge ({u}, {v}) has only one incident face")
-            if u < v:
-                edge_index[(u, v)] = len(edges)
-                edges.append((u, v))
-                edge_faces.append((fi, directed[(v, u)]))
+        pos = np.minimum(np.searchsorted(key_sorted, dest * n_verts + origin), len(h) - 1)
+        open_halves = np.flatnonzero(key_sorted[pos] != dest * n_verts + origin)
+        if len(open_halves):
+            g = open_halves[0]
+            raise OpenBoundaryError(f"edge ({origin[g]}, {dest[g]}) has only one incident face")
+        twin = order[pos]
 
-        # wedge map per vertex: successor neighbor -> (face, predecessor neighbor)
-        wedges = [dict() for _ in range(n_verts)]
-        for fi, face in enumerate(self.faces):
-            f = face.tolist()
-            for j in range(arity):
-                p = f[j]
-                succ = f[(j + 1) % arity]
-                pred = f[(j - 1) % arity]
-                wedges[p][succ] = (fi, pred)
+        valence = np.bincount(origin, minlength=n_verts)
+        # label every half-edge with the smallest half-edge of its fan by
+        # pointer doubling over the rotation around its origin
+        label, step = h, twin[self.prev_half(h)]
+        span = 1
+        while span < valence.max(initial=0):
+            label = np.minimum(label, label[step])
+            step = step[step]
+            span *= 2
+        fans = np.bincount(origin[label == h], minlength=n_verts)
+        p = np.flatnonzero(fans != 1).min(initial=n_verts)
+        if p < n_verts:
+            fault = "belongs to no face" if valence[p] == 0 else "has more than one face fan"
+            raise NonManifoldError(f"vertex {p} {fault}")
 
-        ring_vertices = []
-        ring_faces = []
-        for p in range(n_verts):
-            fan = wedges[p]
-            if not fan:
-                raise NonManifoldError(f"vertex {p} belongs to no face")
-            start = min(fan)
-            rv = [start]
-            rf = []
-            cur = start
-            while True:
-                fi, nxt = fan.pop(cur)
-                rf.append(fi)
-                if nxt == start:
-                    break
-                if nxt not in fan:
-                    raise NonManifoldError(f"faces around vertex {p} do not close")
-                rv.append(nxt)
-                cur = nxt
-            if fan:
-                raise NonManifoldError(f"vertex {p} has more than one face fan")
-            ring_vertices.append(np.array(rv, dtype=np.int64))
-            ring_faces.append(np.array(rf, dtype=np.int64))
+        halves = np.flatnonzero(origin < dest)
+        edge = np.empty(len(h), dtype=np.int64)
+        edge[halves] = np.arange(len(halves))
+        edge[twin[halves]] = np.arange(len(halves))
+        edges = np.stack([origin[halves], dest[halves]], axis=1)
+        edge_faces = np.stack([halves // arity, twin[halves] // arity], axis=1)
+        stored = {"edges": edges, "edge_faces": edge_faces, "twin": twin, "edge": edge}
+        for name, arr in stored.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
-        edge_arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        edge_face_arr = np.array(edge_faces, dtype=np.int64).reshape(-1, 2)
-        edge_arr.setflags(write=False)
-        edge_face_arr.setflags(write=False)
-        object.__setattr__(self, "edges", edge_arr)
-        object.__setattr__(self, "edge_faces", edge_face_arr)
-        object.__setattr__(self, "_edge_index", edge_index)
-        object.__setattr__(self, "_ring_vertices", ring_vertices)
-        object.__setattr__(self, "_ring_faces", ring_faces)
+    # -- half-edge arithmetic ---------------------------------------------------
+
+    @property
+    def origin(self) -> np.ndarray:
+        """Origin vertex of every half-edge (a view of ``faces``)."""
+        return self.faces.reshape(-1)
+
+    def next_half(self, h):
+        """The half-edge after ``h`` in its face."""
+        a = self.arity
+        return h - h % a + (h + 1) % a
+
+    def prev_half(self, h):
+        """The half-edge before ``h`` in its face."""
+        a = self.arity
+        return h - h % a + (h - 1) % a
+
+    def dest(self, h):
+        """Destination vertex of half-edge ``h``."""
+        return self.origin[self.next_half(h)]
+
+    def around(self, h):
+        """The half-edge out of ``h``'s origin that follows ``h`` in the one-ring."""
+        return self.twin[self.prev_half(h)]
+
+    def edge_halves(self) -> np.ndarray:
+        """The ``u < v`` half-edge of every edge, aligned with ``edges``."""
+        return np.flatnonzero(self.origin < self.dest(np.arange(len(self.origin))))
 
     # -- queries ------------------------------------------------------------
 
@@ -196,18 +218,27 @@ class Mesh:
 
     def edge_id(self, u: int, v: int) -> int:
         """Index of the undirected edge between vertices ``u`` and ``v``."""
-        key = (u, v) if u < v else (v, u)
-        return self._edge_index[key]
+        out = np.flatnonzero(self.origin == u)
+        hit = out[self.dest(out) == v]
+        if not len(hit):
+            raise KeyError((u, v) if u < v else (v, u))
+        return int(self.edge[hit[0]])
 
     def ring(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """Ordered one-ring of vertex ``v``: (neighbor vertices, wedge faces).
 
-        Face ``i`` of the ring spans neighbors ``i`` and ``(i + 1) % k``.
+        The ring starts at the smallest neighbor; face ``i`` of the ring
+        spans neighbors ``i`` and ``(i + 1) % k``.
         """
-        return self._ring_vertices[v], self._ring_faces[v]
+        out = np.flatnonzero(self.origin == v)
+        walk = [out[np.argmin(self.dest(out))]]
+        for _ in out[1:]:
+            walk.append(self.around(walk[-1]))
+        walk = np.array(walk)
+        return self.dest(walk), walk // self.arity
 
     def valence(self, v: int) -> int:
-        return len(self._ring_vertices[v])
+        return int(np.count_nonzero(self.origin == v))
 
     def with_normals(self, normals) -> "Mesh":
         """Copy of this mesh with ``normals`` attached; adjacency is shared."""
@@ -223,36 +254,45 @@ class Mesh:
 # naive normals
 # ---------------------------------------------------------------------------
 
+def _corner_wedges(mesh: Mesh):
+    """Per corner: the cross product of the edges to the next and the previous
+    corner, its norm, the product of the two edge lengths, and the wedge angle."""
+    verts = mesh.vertices
+    e = (verts[np.roll(mesh.faces, -1, axis=1)] - verts[mesh.faces]).reshape(-1, 3)
+    e_next = (verts[np.roll(mesh.faces, 1, axis=1)] - verts[mesh.faces]).reshape(-1, 3)
+    cross = np.cross(e, e_next)
+    cross_norms = np.linalg.norm(cross, axis=1)
+    extent = np.linalg.norm(e, axis=1) * np.linalg.norm(e_next, axis=1)
+    return cross, cross_norms, extent, np.arctan2(cross_norms, np.einsum("ij,ij->i", e, e_next))
+
+
 def naive_normals(mesh: Mesh) -> np.ndarray:
     """Angle-weighted wedge normals at every vertex, shape ``(n, 3)``.
 
-    At a vertex ``p`` with ordered ring ``v_0 .. v_{k-1}``, each wedge
-    contributes the unit normal of ``(v_i - p) x (v_{i+1} - p)`` weighted by
-    the wedge angle at ``p``; the weighted sum is normalized. For an
-    outward-oriented mesh the result points outward. Rotation-equivariant by
-    construction.
+    At a vertex ``p``, each wedge (face corner at ``p``, spanned by the edge
+    vectors ``e`` to the next and ``e'`` to the previous corner) contributes
+    the unit normal of ``e x e'`` weighted by the wedge angle at ``p``; the
+    weighted sum is normalized. For an outward-oriented mesh the result
+    points outward. Rotation-equivariant by construction. Raises for the
+    lowest-numbered vertex with a collinear wedge or cancelling wedge normals.
     """
     tol = get_tolerances()
-    verts = mesh.vertices
-    out = np.empty((mesh.vertex_count, 3))
-    for p in range(mesh.vertex_count):
-        ring, _ = mesh.ring(p)
-        e = verts[ring] - verts[p]
-        e_next = np.roll(e, -1, axis=0)
-        crosses = np.cross(e, e_next)
-        cross_norms = np.linalg.norm(crosses, axis=1)
-        lens = np.linalg.norm(e, axis=1)
-        floor = tol.cross * lens * np.roll(lens, -1)
-        if (cross_norms <= floor).any():
-            raise DegenerateCornerError(f"collinear wedge at vertex {p}")
-        gammas = np.arctan2(cross_norms, np.einsum("ij,ij->i", e, e_next))
-        weights = gammas / gammas.sum()
-        a = (weights[:, None] * (crosses / cross_norms[:, None])).sum(axis=0)
-        norm = math.sqrt(float(a @ a))
-        if norm <= tol.coincident:
-            raise VanishingNormalError(f"wedge normals cancel at vertex {p}")
-        out[p] = a / norm
-    return out
+    n = mesh.vertex_count
+    corner = mesh.origin
+    cross, cross_norms, extent, gammas = _corner_wedges(mesh)
+    collinear = cross_norms <= tol.cross * extent
+    weights = gammas / np.bincount(corner, gammas, n)[corner]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = weights[:, None] * (cross / cross_norms[:, None])
+    a = np.stack([np.bincount(corner, unit[:, i], n) for i in range(3)], axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", a, a))
+    p_collinear = corner[collinear].min(initial=n)
+    p_cancel = np.flatnonzero(norms <= tol.coincident).min(initial=n)
+    if p_collinear < n and p_collinear <= p_cancel:
+        raise DegenerateCornerError(f"collinear wedge at vertex {p_collinear}")
+    if p_cancel < n:
+        raise VanishingNormalError(f"wedge normals cancel at vertex {p_cancel}")
+    return a / norms[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +307,26 @@ def _finite_triple(fields) -> tuple[float, float, float]:
     return x, y, z
 
 
+def _resolve_index(index: int, count: int, what: str, lineno: int) -> int:
+    """0-based position of an OBJ reference: 1-based, or negative counting back from ``count``."""
+    resolved = index - 1 if index > 0 else count + index
+    if index == 0 or not 0 <= resolved < count:
+        raise MeshParseError(f"{what} index {index} out of range", lineno)
+    return resolved
+
+
 def load_obj(path) -> Mesh:
     """Read a mesh from an OBJ file.
 
     Supports ``v x y z``, ``vn x y z`` and ``f`` records whose vertex
     references may be ``i``, ``i/t``, ``i//n`` or ``i/t/n`` (texture indices
-    are ignored, indices are 1-based). When normal references are present,
-    every reference of a vertex must name the same normal, which becomes the
-    vertex normal; normals may be off unit length by at most 1e-6 and are
-    renormalized. Raises :class:`MeshParseError` with the offending line
-    number for malformed input and the topology errors of :class:`Mesh` for
-    bad connectivity.
+    are ignored). Indices are 1-based; a negative index ``-i`` is relative and
+    names the ``i``-th last ``v`` or ``vn`` record read so far. When normal
+    references are present, every reference of a vertex must name the same
+    normal, which becomes the vertex normal; normals may be off unit length
+    by at most 1e-6 and are renormalized. Raises :class:`MeshParseError` with
+    the offending line number for malformed input and the topology errors of
+    :class:`Mesh` for bad connectivity.
     """
     verts: list[tuple[float, float, float]] = []
     vns: list[tuple[float, float, float]] = []
@@ -319,18 +368,14 @@ def load_obj(path) -> Mesh:
                         vi = int(parts[0])
                     except ValueError:
                         raise MeshParseError(f"bad face reference {ref!r}", lineno) from None
-                    if vi < 1 or vi > len(verts):
-                        raise MeshParseError(f"vertex index {vi} out of range", lineno)
-                    vi -= 1
+                    vi = _resolve_index(vi, len(verts), "vertex", lineno)
                     if len(parts) == 3 and parts[2] != "":
                         try:
                             ni = int(parts[2])
                         except ValueError:
                             raise MeshParseError(f"bad face reference {ref!r}", lineno) from None
-                        if ni < 1 or ni > len(vns):
-                            raise MeshParseError(f"normal index {ni} out of range", lineno)
+                        ni = _resolve_index(ni, len(vns), "normal", lineno)
                         saw_normal_ref = True
-                        ni -= 1
                         prev = vertex_normal.setdefault(vi, ni)
                         if prev != ni and vns[prev] != vns[ni]:
                             raise MeshParseError(
@@ -420,16 +465,16 @@ def save_ply(mesh: Mesh, path, colors=None, binary: bool = False) -> None:
     ]
 
     if binary:
-        body = bytearray()
-        pts = mesh.vertices.astype("<f4")
-        for i in range(n):
-            body += pts[i].tobytes()
-            if colors is not None:
-                body += colors[i].tobytes()
-        arity = np.uint8(mesh.arity).tobytes()
-        for face in mesh.faces.astype("<i4"):
-            body += arity + face.tobytes()
-        data = ("\n".join(header) + "\n").encode("ascii") + bytes(body)
+        vertex_fields = [("xyz", "<f4", 3)] + ([("rgb", "u1", 3)] if colors is not None else [])
+        vertex_rows = np.empty(n, dtype=vertex_fields)
+        vertex_rows["xyz"] = mesh.vertices
+        if colors is not None:
+            vertex_rows["rgb"] = colors
+        face_rows = np.empty(mesh.face_count, dtype=[("k", "u1"), ("corners", "<i4", mesh.arity)])
+        face_rows["k"] = mesh.arity
+        face_rows["corners"] = mesh.faces
+        body = vertex_rows.tobytes() + face_rows.tobytes()
+        data = ("\n".join(header) + "\n").encode("ascii") + body
     else:
         lines = list(header)
         for i in range(n):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DegenerateFaceError, MissingNormalsError, ZeroAreaError
 from .geom import get_tolerances
-from .mesh import Mesh, naive_normals
+from .mesh import Mesh, _corner_wedges, naive_normals
 
 __all__ = [
     "MetricsReport",
@@ -40,11 +40,14 @@ __all__ = [
 ]
 
 
-def _unit_rows(vecs, context):
-    norms = np.linalg.norm(vecs, axis=1)
-    if (norms <= get_tolerances().coincident).any():
+def _unit_cross(a, b, context):
+    """Unit cross products of the rows of ``a`` and ``b``; parallel rows are a zero-area face."""
+    cross = np.cross(a, b)
+    norms = np.linalg.norm(cross, axis=1)
+    floor = get_tolerances().cross * np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+    if (norms <= floor).any():
         raise DegenerateFaceError(f"zero-area face while computing {context}")
-    return vecs / norms[:, None]
+    return cross / norms[:, None]
 
 
 def _row_angles(a, b):
@@ -62,67 +65,51 @@ def dihedral_angles(mesh: Mesh) -> np.ndarray:
     """
     verts = mesh.vertices
     faces = mesh.faces
-    edges = mesh.edges
     if mesh.arity == 3:
-        fnorm = _unit_rows(
-            np.cross(
-                verts[faces[:, 1]] - verts[faces[:, 0]],
-                verts[faces[:, 2]] - verts[faces[:, 0]],
-            ),
+        fnorm = _unit_cross(
+            verts[faces[:, 1]] - verts[faces[:, 0]],
+            verts[faces[:, 2]] - verts[faces[:, 0]],
             "dihedral angles",
         )
         return _row_angles(fnorm[mesh.edge_faces[:, 0]], fnorm[mesh.edge_faces[:, 1]])
 
-    edge_dir = verts[edges[:, 1]] - verts[edges[:, 0]]
-    mid = 0.5 * (verts[edges[:, 0]] + verts[edges[:, 1]])
-    side_normals = []
-    for side in (0, 1):
-        opp_mid = np.empty_like(mid)
-        for eid, fi in enumerate(mesh.edge_faces[:, side]):
-            face = [int(v) for v in faces[fi]]
-            u, v = int(edges[eid, 0]), int(edges[eid, 1])
-            for j in range(4):
-                if {face[j], face[(j + 1) % 4]} == {u, v}:
-                    o1, o2 = face[(j + 2) % 4], face[(j + 3) % 4]
-                    break
-            opp_mid[eid] = 0.5 * (verts[o1] + verts[o2])
-        # each face sees the edge along its own orientation, so the two
-        # constructed normals agree (angle 0) across a flat edge
-        oriented = edge_dir if side == 0 else -edge_dir
-        side_normals.append(_unit_rows(np.cross(opp_mid - mid, oriented), "dihedral angles"))
-    return _row_angles(side_normals[0], side_normals[1])
+    # one normal per half-edge, each along its own face's orientation, so
+    # the two normals of a flat edge agree (angle 0)
+    h = np.arange(len(mesh.origin))
+    a, b = verts[mesh.origin], verts[mesh.dest(h)]
+    o1 = verts[mesh.origin[mesh.next_half(mesh.next_half(h))]]
+    o2 = verts[mesh.origin[mesh.prev_half(h)]]
+    side = _unit_cross(0.5 * (o1 + o2) - 0.5 * (a + b), b - a, "dihedral angles")
+    halves = mesh.edge_halves()
+    return _row_angles(side[halves], side[mesh.twin[halves]])
 
 
 def curvature(mesh: Mesh) -> np.ndarray:
     """Angle-deficit curvature per vertex: ``(2 pi - sum gamma_i) / A``.
 
     ``A`` is the barycentric cell area ``(1/6) sum |p v_i| |p v_{i+1}|
-    sin gamma_i`` over the ordered wedges at the vertex.
+    sin gamma_i`` over the wedges at the vertex, one per face corner. A cell
+    whose doubled area is at most ``cross`` times ``sum |p v_i| |p v_{i+1}|``
+    is degenerate; the lowest such vertex is named.
     """
-    verts = mesh.vertices
-    out = np.empty(mesh.vertex_count)
-    for p in range(mesh.vertex_count):
-        ring, _ = mesh.ring(p)
-        e = verts[ring] - verts[p]
-        e_next = np.roll(e, -1, axis=0)
-        cross_norms = np.linalg.norm(np.cross(e, e_next), axis=1)
-        gammas = np.arctan2(cross_norms, np.einsum("ij,ij->i", e, e_next))
-        area = cross_norms.sum() / 6.0
-        if area <= 1e-15 * get_tolerances().scale ** 2:
-            raise ZeroAreaError(f"vanishing cell area at vertex {p}")
-        out[p] = (2.0 * math.pi - gammas.sum()) / area
-    return out
+    n = mesh.vertex_count
+    corner = mesh.origin
+    _, cross_norms, extent, gammas = _corner_wedges(mesh)
+    doubled = np.bincount(corner, cross_norms, n)
+    flat = np.flatnonzero(doubled <= get_tolerances().cross * np.bincount(corner, extent, n))
+    if len(flat):
+        raise ZeroAreaError(f"vanishing cell area at vertex {flat[0]}")
+    return (2.0 * math.pi - np.bincount(corner, gammas, n)) / (doubled / 6.0)
 
 
 def zeta(mesh: Mesh, curvatures: Optional[np.ndarray] = None) -> np.ndarray:
     """Local curvature spread per vertex: max - min over the vertex + ring."""
-    k = curvature(mesh) if curvatures is None else curvatures
-    out = np.empty(mesh.vertex_count)
-    for p in range(mesh.vertex_count):
-        ring, _ = mesh.ring(p)
-        values = k[np.append(ring, p)]
-        out[p] = values.max() - values.min()
-    return out
+    k = np.asarray(curvature(mesh) if curvatures is None else curvatures)
+    neighbour = k[mesh.dest(np.arange(len(mesh.origin)))]
+    hi, lo = k.copy(), k.copy()
+    np.maximum.at(hi, mesh.origin, neighbour)
+    np.minimum.at(lo, mesh.origin, neighbour)
+    return hi - lo
 
 
 def psi_zeta_star(mesh: Mesh) -> tuple[float, float]:
@@ -199,15 +186,13 @@ def curvature_colors(curvatures, lo: float, hi: float) -> np.ndarray:
     if not (lo < 0.0 < hi):
         raise ValueError(f"range must straddle zero, got [{lo}, {hi}]")
     k = np.asarray(curvatures, dtype=float)
-    out = np.empty((len(k), 3), dtype=np.uint8)
+    if np.isnan(k).any():
+        raise ValueError("curvature values must not be nan")
     band = 1e-9 * max(abs(lo), hi)
-    for i, value in enumerate(k):
-        if abs(value) <= band:
-            out[i] = _NEUTRAL
-        elif value > 0.0:
-            t = min(value / hi, 1.0)
-            out[i] = (255, round(255 * (1.0 - t)), 0)
-        else:
-            t = min(value / lo, 1.0)
-            out[i] = (0, round(255 * (1.0 - t)), 255)
-    return out
+    cases = [np.abs(k) <= band, k > 0.0]
+    warm = np.rint(255 * (1.0 - np.minimum(k / hi, 1.0)))
+    cold = np.rint(255 * (1.0 - np.minimum(k / lo, 1.0)))
+    red = np.select(cases, [_NEUTRAL[0], 255], 0)
+    green = np.select(cases, [_NEUTRAL[1], warm], cold)
+    blue = np.select(cases, [_NEUTRAL[2], 0], 255)
+    return np.stack([red, green, blue], axis=1).astype(np.uint8)

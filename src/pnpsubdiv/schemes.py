@@ -29,8 +29,10 @@ meshes):
   rule degrades to the midpoint / centroid obtained by zeroing the negative
   taps.
 
-Stencil generation and per-vertex evaluation are independent given the
-input mesh, and results are deterministic.
+Stencils read only local topology: one-rings, the two faces of an edge and
+the corners of a face. They are gathered for all output vertices at once
+from the mesh's half-edge arrays (see :mod:`pnpsubdiv.mesh`), and results
+are deterministic.
 """
 
 from __future__ import annotations
@@ -85,180 +87,146 @@ class RefinementStep:
 
 
 # ---------------------------------------------------------------------------
-# shared topology helpers
-# ---------------------------------------------------------------------------
-
-def _opposite_vertex(mesh: Mesh, face_idx: int, a: int, b: int) -> int:
-    """The triangle corner that is neither ``a`` nor ``b``."""
-    for v in mesh.faces[face_idx]:
-        if v != a and v != b:
-            return int(v)
-    raise AssertionError("degenerate triangle")
-
-
-def _other_face(mesh: Mesh, edge_id: int, face_idx: int) -> int:
-    fl, fr = mesh.edge_faces[edge_id]
-    return int(fr) if fl == face_idx else int(fl)
-
-
-def _split_tri_faces(mesh: Mesh, edge_base: int) -> np.ndarray:
-    """1-to-4 triangle split; edge point ids start at ``edge_base``."""
-    out = np.empty((4 * mesh.face_count, 3), dtype=np.int64)
-    row = 0
-    for face in mesh.faces:
-        a, b, c = (int(v) for v in face)
-        eab = edge_base + mesh.edge_id(a, b)
-        ebc = edge_base + mesh.edge_id(b, c)
-        eca = edge_base + mesh.edge_id(c, a)
-        out[row] = (a, eab, eca)
-        out[row + 1] = (b, ebc, eab)
-        out[row + 2] = (c, eca, ebc)
-        out[row + 3] = (eab, ebc, eca)
-        row += 4
-    return out
-
-
-def _split_quad_faces(mesh: Mesh, edge_base: int, face_base: int) -> np.ndarray:
-    """1-to-4 quad split around the new face point of every quad."""
-    out = np.empty((4 * mesh.face_count, 4), dtype=np.int64)
-    row = 0
-    for fi, face in enumerate(mesh.faces):
-        center = face_base + fi
-        corners = [int(v) for v in face]
-        eids = [
-            edge_base + mesh.edge_id(corners[j], corners[(j + 1) % 4]) for j in range(4)
-        ]
-        for j in range(4):
-            out[row] = (corners[j], eids[j], center, eids[j - 1])
-            row += 1
-    return out
-
-
-# ---------------------------------------------------------------------------
 # stencil catalogs
 # ---------------------------------------------------------------------------
+# Each catalog lists the terms of every output stencil as groups
+# ``(rows, index, weight)``: one term ``(index[i], weight[i])`` of stencil
+# ``rows[i]`` per entry, ``weight`` a scalar or an array. Output rows are the
+# vertex points, then the edge points (``edges`` order), then for quads the
+# face points. ``g`` is the ``u < v`` half-edge of each edge ``(u, v)``, lying
+# in ``edge_faces[:, 0]``, and ``t`` its twin.
 
-def _step_loop(mesh: Mesh) -> RefinementStep:
-    v_count = mesh.vertex_count
-    stencils = []
-    for p in range(v_count):
-        ring, _ = mesh.ring(p)
-        k = len(ring)
-        beta = (0.625 - (0.375 + 0.25 * math.cos(2.0 * math.pi / k)) ** 2) / k
-        terms = [(p, 1.0 - k * beta)]
-        terms += [(int(v), beta) for v in ring]
-        stencils.append(Stencil.merged(terms))
-    for eid in range(mesh.edge_count):
-        a, b = (int(v) for v in mesh.edges[eid])
-        fl, fr = mesh.edge_faces[eid]
-        c = _opposite_vertex(mesh, int(fl), a, b)
-        d = _opposite_vertex(mesh, int(fr), a, b)
-        stencils.append(Stencil.merged([(a, 0.375), (b, 0.375), (c, 0.125), (d, 0.125)]))
-    return RefinementStep(tuple(stencils), _split_tri_faces(mesh, v_count))
+def _rows_and_halves(mesh: Mesh):
+    """Rows of the vertex and edge points, each edge's ``u < v`` half-edge and its twin."""
+    g = mesh.edge_halves()
+    p = np.arange(mesh.vertex_count)
+    return p, mesh.vertex_count + np.arange(mesh.edge_count), g, mesh.twin[g]
 
 
-def _step_butterfly(mesh: Mesh) -> RefinementStep:
-    v_count = mesh.vertex_count
-    stencils = [Stencil(((p, 1.0),)) for p in range(v_count)]
-    for eid in range(mesh.edge_count):
-        a, b = (int(v) for v in mesh.edges[eid])
-        fl, fr = (int(f) for f in mesh.edge_faces[eid])
-        c = _opposite_vertex(mesh, fl, a, b)
-        d = _opposite_vertex(mesh, fr, a, b)
-        terms = [(a, 0.5), (b, 0.5), (c, 0.125), (d, 0.125)]
-        for x, y, f in ((a, c, fl), (c, b, fl), (a, d, fr), (d, b, fr)):
-            side = mesh.edge_id(x, y)
-            wing_face = _other_face(mesh, side, f)
-            terms.append((_opposite_vertex(mesh, wing_face, x, y), -0.0625))
-        stencils.append(Stencil.merged(terms))
-    return RefinementStep(tuple(stencils), _split_tri_faces(mesh, v_count))
+def _loop_terms(mesh: Mesh) -> list:
+    p, e, g, t = _rows_and_halves(mesh)
+    origin = mesh.origin
+    valences, at = np.unique(np.bincount(origin, minlength=len(p)), return_inverse=True)
+    beta = np.array(
+        [(0.625 - (0.375 + 0.25 * math.cos(2.0 * math.pi / n)) ** 2) / n for n in valences.tolist()]
+    )[at]
+    return [
+        (p, p, 1.0 - valences[at] * beta),
+        (origin, mesh.dest(np.arange(len(origin))), beta[origin]),
+        (e, mesh.edges[:, 0], 0.375),
+        (e, mesh.edges[:, 1], 0.375),
+        (e, origin[mesh.prev_half(g)], 0.125),
+        (e, origin[mesh.prev_half(t)], 0.125),
+    ]
 
 
-def _step_cc(mesh: Mesh) -> RefinementStep:
-    v_count = mesh.vertex_count
-    e_count = mesh.edge_count
-    stencils = []
-    for p in range(v_count):
-        ring, rfaces = mesh.ring(p)
-        k = len(ring)
-        # (Q + 2R + (k - 3) P) / k expanded over the one-ring
-        terms = [(p, (k - 1.75) / k)]
-        terms += [(int(v), 1.5 / (k * k)) for v in ring]
-        for fi in rfaces:
-            face = mesh.faces[fi]
-            j = int(np.where(face == p)[0][0])
-            terms.append((int(face[(j + 2) % 4]), 0.25 / (k * k)))
-        stencils.append(Stencil.merged(terms))
-    for eid in range(e_count):
-        a, b = (int(v) for v in mesh.edges[eid])
-        terms = [(a, 0.375), (b, 0.375)]
-        for fi in mesh.edge_faces[eid]:
-            for v in mesh.faces[fi]:
-                v = int(v)
-                if v != a and v != b:
-                    terms.append((v, 0.0625))
-        stencils.append(Stencil.merged(terms))
-    for face in mesh.faces:
-        stencils.append(Stencil.merged([(int(v), 0.25) for v in face]))
-    return RefinementStep(tuple(stencils), _split_quad_faces(mesh, v_count, v_count + e_count))
+def _butterfly_terms(mesh: Mesh) -> list:
+    p, e, g, t = _rows_and_halves(mesh)
+    origin = mesh.origin
+    groups = [
+        (p, p, 1.0),
+        (e, mesh.edges[:, 0], 0.5),
+        (e, mesh.edges[:, 1], 0.5),
+        (e, origin[mesh.prev_half(g)], 0.125),
+        (e, origin[mesh.prev_half(t)], 0.125),
+    ]
+    # the wings: opposite vertices across the sides (a, c), (c, b), (a, d), (d, b)
+    for side in (mesh.prev_half(g), mesh.next_half(g), mesh.next_half(t), mesh.prev_half(t)):
+        groups.append((e, origin[mesh.prev_half(mesh.twin[side])], -0.0625))
+    return groups
 
 
-def _k4_edge_terms(mesh: Mesh, eid: int):
-    """Univariate four-point terms for an edge, or the midpoint fallback.
+def _cc_terms(mesh: Mesh) -> list:
+    p, e, g, t = _rows_and_halves(mesh)
+    h = np.arange(len(mesh.origin))
+    origin = mesh.origin
+    k = np.bincount(origin, minlength=len(p))
+    # (Q + 2R + (k - 3) P) / k expanded over the one-ring and the face diagonals
+    groups = [
+        (p, p, (k - 1.75) / k),
+        (origin, mesh.dest(h), (1.5 / (k * k))[origin]),
+        (origin, origin[mesh.next_half(mesh.next_half(h))], (0.25 / (k * k))[origin]),
+        (e, mesh.edges[:, 0], 0.375),
+        (e, mesh.edges[:, 1], 0.375),
+    ]
+    for half in (g, t):
+        groups.append((e, origin[mesh.next_half(mesh.next_half(half))], 0.0625))
+        groups.append((e, origin[mesh.prev_half(half)], 0.0625))
+    f = len(p) + len(e) + np.arange(mesh.face_count)
+    return groups + [(f, mesh.faces[:, j], 0.25) for j in range(4)]
 
-    Returns ``(terms, regular)``; regular edges extend to the opposite ring
-    neighbors of both endpoints, which requires valence four at both ends.
+
+def _k4_terms(mesh: Mesh) -> list:
+    """Kobbelt four-point: edge taps along grid lines, their tensor product on faces.
+
+    An edge is regular when both ends have valence four; its outer taps are
+    the ring neighbours opposite to it, two steps around each end. A face
+    uses the tensor product when its two opposite edges ``(c3, c0)``,
+    ``(c1, c2)`` and the edges parallel to them across those are regular.
     """
-    a, b = (int(v) for v in mesh.edges[eid])
-    ring_a, _ = mesh.ring(a)
-    ring_b, _ = mesh.ring(b)
-    if len(ring_a) == 4 and len(ring_b) == 4:
-        ia = int(np.where(ring_a == b)[0][0])
-        ib = int(np.where(ring_b == a)[0][0])
-        xa = int(ring_a[(ia + 2) % 4])
-        xb = int(ring_b[(ib + 2) % 4])
-        return [(xa, -0.0625), (a, 0.5625), (b, 0.5625), (xb, -0.0625)], True
-    return [(a, 0.5), (b, 0.5)], False
+    p, e, g, t = _rows_and_halves(mesh)
+    k = np.bincount(mesh.origin, minlength=len(p))
+    a, b = mesh.edges[:, 0], mesh.edges[:, 1]
+    regular = (k[a] == 4) & (k[b] == 4)
+    xa = mesh.dest(mesh.around(mesh.around(g)))
+    xb = mesh.dest(mesh.around(mesh.around(t)))
+    mid = np.where(regular, 0.5625, 0.5)
+    groups = [
+        (p, p, 1.0),
+        (e[regular], xa[regular], -0.0625),
+        (e, a, mid),
+        (e, b, mid),
+        (e[regular], xb[regular], -0.0625),
+    ]
+
+    face_h = 4 * np.arange(mesh.face_count)
+    el = mesh.edge[face_h + 3]
+    er = mesh.edge[face_h + 1]
+    ell = mesh.edge[mesh.next_half(mesh.next_half(mesh.twin[face_h + 3]))]
+    err = mesh.edge[mesh.next_half(mesh.next_half(mesh.twin[face_h + 1]))]
+    tensor = regular[el] & regular[er] & regular[ell] & regular[err]
+    f = len(p) + len(e) + np.arange(mesh.face_count)
+    for edge_ids, coef in ((ell, -0.0625), (el, 0.5625), (er, 0.5625), (err, -0.0625)):
+        at = edge_ids[tensor]
+        for taps, w in ((xa, -0.0625), (a, 0.5625), (b, 0.5625), (xb, -0.0625)):
+            groups.append((f[tensor], taps[at], coef * w))
+    return groups + [(f[~tensor], mesh.faces[~tensor, j], 0.25) for j in range(4)]
 
 
-def _k4_outer_edge(mesh: Mesh, face_idx: int, u: int, v: int) -> int:
-    """Edge id of the edge opposite to ``(u, v)`` in the face across it."""
-    other = _other_face(mesh, mesh.edge_id(u, v), face_idx)
-    face = [int(x) for x in mesh.faces[other]]
-    for j in range(4):
-        if {face[j], face[(j + 1) % 4]} == {u, v}:
-            return mesh.edge_id(face[(j + 2) % 4], face[(j + 3) % 4])
-    raise AssertionError("edge not found in its incident face")
+_TERMS = {"cc": _cc_terms, "lp": _loop_terms, "by": _butterfly_terms, "k4": _k4_terms}
 
 
-def _step_k4(mesh: Mesh) -> RefinementStep:
-    v_count = mesh.vertex_count
-    e_count = mesh.edge_count
-    stencils = [Stencil(((p, 1.0),)) for p in range(v_count)]
-    edge_terms = []
-    edge_regular = []
-    for eid in range(e_count):
-        terms, regular = _k4_edge_terms(mesh, eid)
-        edge_terms.append(terms)
-        edge_regular.append(regular)
-        stencils.append(Stencil.merged(terms))
-    for fi, face in enumerate(mesh.faces):
-        c0, c1, c2, c3 = (int(v) for v in face)
-        el = mesh.edge_id(c0, c3)
-        er = mesh.edge_id(c1, c2)
-        ell = _k4_outer_edge(mesh, fi, c0, c3)
-        err = _k4_outer_edge(mesh, fi, c1, c2)
-        if all(edge_regular[e] for e in (el, er, ell, err)):
-            combo = []
-            for e, coef in ((ell, -0.0625), (el, 0.5625), (er, 0.5625), (err, -0.0625)):
-                combo += [(idx, coef * w) for idx, w in edge_terms[e]]
-            stencils.append(Stencil.merged(combo))
-        else:
-            stencils.append(Stencil.merged([(c, 0.25) for c in (c0, c1, c2, c3)]))
-    return RefinementStep(tuple(stencils), _split_quad_faces(mesh, v_count, v_count + e_count))
+def _merged_stencils(count: int, groups) -> tuple[Stencil, ...]:
+    """``Stencil.merged`` of rows ``0 .. count - 1``, each row's terms in group order.
+
+    Repeated indices are thus summed in the order the rule lists them.
+    """
+    rows = np.concatenate([r for r, _, _ in groups])
+    index = np.concatenate([i for _, i, _ in groups])
+    weight = np.concatenate([np.broadcast_to(np.asarray(w, float), len(r)) for r, _, w in groups])
+    order = np.argsort(rows, kind="stable")
+    index, weight = index[order].tolist(), weight[order].tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=count)).tolist()
+    return tuple(
+        Stencil.merged(zip(index[s:e], weight[s:e])) for s, e in zip([0] + ends[:-1], ends)
+    )
 
 
-_STEPS = {"cc": _step_cc, "lp": _step_loop, "by": _step_butterfly, "k4": _step_k4}
+def _split_faces(mesh: Mesh) -> np.ndarray:
+    """The 1-to-4 split, numbering new points as the stencil rows do.
+
+    Triangle ``(a, b, c)`` with edge points ``ab, bc, ca`` becomes
+    ``(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)``. Quad corner
+    ``c_j`` becomes ``(c_j, e_j, center, e_{j-1})``, where ``e_j`` is the
+    point of the edge from ``c_j`` to ``c_{j+1}``.
+    """
+    cols = [mesh.faces, mesh.vertex_count + mesh.edge.reshape(mesh.faces.shape)]
+    if mesh.arity == 3:
+        pattern = [[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]]
+    else:
+        cols.append(mesh.vertex_count + mesh.edge_count + np.arange(mesh.face_count)[:, None])
+        pattern = [[0, 4, 8, 7], [1, 5, 8, 4], [2, 6, 8, 5], [3, 7, 8, 6]]
+    return np.concatenate(cols, axis=1)[:, pattern].reshape(-1, mesh.arity)
 
 
 def refinement_step(mesh: Mesh, base: str) -> RefinementStep:
@@ -267,7 +235,8 @@ def refinement_step(mesh: Mesh, base: str) -> RefinementStep:
         raise ArityMismatchError(
             f"scheme {base!r} refines arity-{_ARITY[base]} meshes, this mesh has arity {mesh.arity}"
         )
-    return _STEPS[base](mesh)
+    count = mesh.vertex_count + mesh.edge_count + (mesh.face_count if mesh.arity == 4 else 0)
+    return RefinementStep(_merged_stencils(count, _TERMS[base](mesh)), _split_faces(mesh))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 
 from meshes import tetrahedron, torus_tri
-from pnpsubdiv import cli, save_obj
+from pnpsubdiv import Mesh, cli, save_obj
 
 
 def _files(directory):
@@ -39,3 +39,11 @@ def test_modified_refine_with_antipodal_normals_is_a_numeric_error(tmp_path):
             "--scheme", "lp", "--modified"]
     assert cli.main(argv) == cli.EXIT_NUMERIC
     assert not (tmp_path / "out.obj").exists()
+
+
+def test_metrics_on_a_tiny_mesh_succeed(tmp_path):
+    m = torus_tri(12, 6)
+    src = tmp_path / "tiny.obj"
+    save_obj(Mesh(m.vertices * 1e-8, m.faces), src)
+    argv = ["metrics", "--input", str(src), "--json", str(tmp_path / "report.json")]
+    assert cli.main(argv) == cli.EXIT_OK

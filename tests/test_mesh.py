@@ -8,18 +8,24 @@ from meshes import (
     flat_cube,
     flat_cube_interior_vertices,
     icosahedron,
+    lumpy_tube,
     octahedron,
     random_rotation,
     tetrahedron,
     torus_quad,
+    torus_tri,
 )
 from pnpsubdiv import Mesh, load_obj, naive_normals, save_obj, save_ply
 from pnpsubdiv.errors import (
+    DegenerateCornerError,
     MeshParseError,
     MixedFaceArityError,
     NonManifoldError,
     OpenBoundaryError,
+    VanishingNormalError,
 )
+
+TETRA_FACES = [[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]]
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +65,7 @@ def test_ring_order_consistent_with_faces():
     for v in range(m.vertex_count):
         ring_v, ring_f = m.ring(v)
         k = len(ring_v)
+        assert ring_v[0] == ring_v.min()
         for i in range(k):
             face = [int(x) for x in m.faces[ring_f[i]]]
             # wedge i spans ring neighbors i and i+1 inside face ring_f[i]
@@ -88,6 +95,45 @@ def test_unsupported_arity_rejected():
     verts = np.zeros((6, 3))
     with pytest.raises(MixedFaceArityError):
         Mesh(verts, [[0, 1, 2, 3, 4], [0, 4, 3, 2, 1]])
+
+
+def _second_tetra(offset):
+    return [[0 if v == 0 else v + offset for v in f] for f in TETRA_FACES]
+
+
+@pytest.mark.parametrize(
+    "n_verts, faces, error, message",
+    [
+        (4, [[0, 1, 1]] + TETRA_FACES[1:], NonManifoldError, "face 0 repeats a vertex"),
+        (4, TETRA_FACES + [[1, 1, 2]], NonManifoldError, "face 4 repeats a vertex"),
+        (
+            4,
+            TETRA_FACES + TETRA_FACES[:1],
+            NonManifoldError,
+            "directed edge (0, 1) appears in faces 0 and 4",
+        ),
+        # the duplicate in face 4 comes before the repeat in face 5
+        (
+            4,
+            TETRA_FACES + TETRA_FACES[:1] + [[1, 2, 2]],
+            NonManifoldError,
+            "directed edge (0, 1) appears in faces 0 and 4",
+        ),
+        (4, [[0, 1, 2], [1, 3, 2]], OpenBoundaryError, "edge (0, 1) has only one incident face"),
+        (4, TETRA_FACES[1:], OpenBoundaryError, "edge (1, 0) has only one incident face"),
+        (5, TETRA_FACES, NonManifoldError, "vertex 4 belongs to no face"),
+        (7, TETRA_FACES + _second_tetra(3), NonManifoldError,
+         "vertex 0 has more than one face fan"),
+        # vertex 0 has two fans and comes before the isolated vertex 7
+        (8, TETRA_FACES + _second_tetra(3), NonManifoldError,
+         "vertex 0 has more than one face fan"),
+    ],
+)
+def test_topology_errors_name_the_first_fault(n_verts, faces, error, message):
+    verts = np.random.default_rng(3).normal(size=(n_verts, 3))
+    with pytest.raises(error) as err:
+        Mesh(verts, faces)
+    assert str(err.value) == message
 
 
 def test_face_index_out_of_range():
@@ -145,6 +191,45 @@ def test_naive_normals_rotation_equivariant(rng):
     rot = random_rotation(rng)
     rotated = naive_normals(Mesh(m.vertices @ rot.T, m.faces))
     assert np.abs(rotated - base @ rot.T).max() < 1e-9
+
+
+def test_naive_normals_collinear_wedge_names_vertex():
+    m = octahedron()
+    verts = m.vertices.copy()
+    verts[4] = 0.5 * (verts[1] + verts[3])  # face (1, 3, 4) collapses onto a segment
+    with pytest.raises(DegenerateCornerError) as err:
+        naive_normals(Mesh(verts, m.faces))
+    assert str(err.value) == "collinear wedge at vertex 1"
+
+
+def test_naive_normals_cancelling_wedges_name_vertex():
+    # a flat tetrahedron: vertex 0 in the middle of the triangle (1, 2, 3);
+    # at each outer corner the big face's wedge cancels the two small ones
+    verts = [[0.1, 0.2, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    relabel = [1, 2, 3, 0]
+    faces = [[relabel[v] for v in f] for f in TETRA_FACES]
+    with pytest.raises(VanishingNormalError) as err:
+        naive_normals(Mesh(verts, faces))
+    assert str(err.value) == "wedge normals cancel at vertex 1"
+
+
+def _naive_normals_loop(mesh):
+    """The per-vertex reference: wedges in one-ring order."""
+    out = np.empty((mesh.vertex_count, 3))
+    for p in range(mesh.vertex_count):
+        ring, _ = mesh.ring(p)
+        e = mesh.vertices[ring] - mesh.vertices[p]
+        crosses = np.cross(e, np.roll(e, -1, axis=0))
+        norms = np.linalg.norm(crosses, axis=1)
+        gammas = np.arctan2(norms, np.einsum("ij,ij->i", e, np.roll(e, -1, axis=0)))
+        a = (gammas[:, None] * crosses / norms[:, None]).sum(axis=0)
+        out[p] = a / np.linalg.norm(a)
+    return out
+
+
+def test_naive_normals_match_the_ring_loop():
+    for mesh in (icosahedron(), cube(), torus_tri(12, 6), torus_quad(12, 6), lumpy_tube()):
+        assert np.abs(naive_normals(mesh) - _naive_normals_loop(mesh)).max() < 1e-14
 
 
 def test_wedge_angles_sum_to_two_pi_on_flat_regions():
@@ -266,6 +351,37 @@ def test_obj_non_finite_coordinates_rejected(tmp_path, record):
     assert err.value.line == 3
 
 
+def test_obj_relative_indices(tmp_path):
+    text = (
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 -1\nvn 0 -1 0\nvn -1 0 0\n"
+        "f -3//-3 -1//-1 -2//-2\n"
+        "v 0 0 1\nvn 0.6 0 0.8\n"
+        "f 1//-4 2//-3 -1//-1\nf -4 -1 3\nf 2//2 -2//-2 -1//4\n"
+    )
+    path = tmp_path / "relative.obj"
+    path.write_text(text)
+    m = load_obj(path)
+    assert m.faces.tolist() == [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]]
+    assert m.normals.tolist() == [[0, 0, -1], [0, -1, 0], [-1, 0, 0], [0.6, 0, 0.8]]
+
+
+@pytest.mark.parametrize(
+    "face, message",
+    [
+        ("f 1 2 0", "vertex index 0 out of range"),
+        ("f 1 2 -4", "vertex index -4 out of range"),
+        ("f 1//-2 2 3", "normal index -2 out of range"),
+        ("f 1//0 2 3", "normal index 0 out of range"),
+    ],
+)
+def test_obj_bad_indices_name_the_line(tmp_path, face, message):
+    path = tmp_path / "bad_index.obj"
+    path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\n{face}\n")
+    with pytest.raises(MeshParseError, match=message) as err:
+        load_obj(path)
+    assert err.value.line == 5
+
+
 def test_obj_mixed_arity_rejected(tmp_path):
     path = tmp_path / "mixed.obj"
     path.write_text(
@@ -309,3 +425,40 @@ def test_ply_binary_size(tmp_path):
     header_end = raw.index(b"end_header\n") + len(b"end_header\n")
     body = raw[header_end:]
     assert len(body) == m.vertex_count * (12 + 3) + m.face_count * (1 + 16)
+
+
+def _ply_binary_body_loop(mesh, colors):
+    """The row-by-row reference encoding of a binary PLY body."""
+    body = bytearray()
+    pts = mesh.vertices.astype("<f4")
+    for i in range(mesh.vertex_count):
+        body += pts[i].tobytes()
+        if colors is not None:
+            body += colors[i].tobytes()
+    arity = np.uint8(mesh.arity).tobytes()
+    for face in mesh.faces.astype("<i4"):
+        body += arity + face.tobytes()
+    return bytes(body)
+
+
+@pytest.mark.parametrize("with_colors", [False, True])
+@pytest.mark.parametrize("mesh_fn", [icosahedron, lambda: torus_quad(8, 6)])
+def test_ply_binary_body_bytes(tmp_path, mesh_fn, with_colors):
+    from pnpsubdiv import curvature, curvature_colors
+
+    m = mesh_fn()
+    colors = curvature_colors(curvature(m), -0.5, 0.5) if with_colors else None
+    path = tmp_path / "out.ply"
+    save_ply(m, path, colors=colors, binary=True)
+    raw = path.read_bytes()
+    body = raw[raw.index(b"end_header\n") + len(b"end_header\n"):]
+    assert body == _ply_binary_body_loop(m, colors)
+    vertex_fields = [("xyz", "<f4", 3)] + ([("rgb", "u1", 3)] if with_colors else [])
+    vertex_size = np.dtype(vertex_fields).itemsize
+    rows = np.frombuffer(body, dtype=vertex_fields, count=m.vertex_count)
+    face_fields = [("k", "u1"), ("i", "<i4", m.arity)]
+    faces = np.frombuffer(body[m.vertex_count * vertex_size:], dtype=face_fields)
+    assert np.array_equal(rows["xyz"], m.vertices.astype("<f4"))
+    if with_colors:
+        assert np.array_equal(rows["rgb"], colors)
+    assert (faces["k"] == m.arity).all() and np.array_equal(faces["i"], m.faces)

@@ -6,6 +6,7 @@ import pytest
 
 from meshes import (
     cube,
+    torus_quad,
     flat_cube,
     flat_cube_interior_vertices,
     flat_tri_octa,
@@ -17,6 +18,7 @@ from meshes import (
 )
 from pnpsubdiv import (
     Mesh,
+    SchemeKind,
     curvature,
     curvature_colors,
     dihedral_angles,
@@ -24,9 +26,10 @@ from pnpsubdiv import (
     naive_normals,
     normal_deviation,
     psi_zeta_star,
+    refine_once,
     zeta,
 )
-from pnpsubdiv.errors import MissingNormalsError
+from pnpsubdiv.errors import MissingNormalsError, ZeroAreaError
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +104,33 @@ def test_curvature_scales_inverse_squared():
     assert np.abs(k_scaled - k / 9.0).max() < 1e-12
 
 
+def test_curvature_zero_area_names_vertex():
+    # vertices 0..4 on one line: every wedge at vertex 4 is flat, the others
+    # keep a wedge towards vertex 5
+    verts = [[1, 0, 0], [-1, 0, 0], [0.5, 0, 0], [-0.5, 0, 0], [0.2, 0, 0], [0, 0, -1]]
+    with pytest.raises(ZeroAreaError) as err:
+        curvature(Mesh(verts, octahedron().faces))
+    assert str(err.value) == "vanishing cell area at vertex 4"
+
+
+def test_curvature_and_zeta_match_the_ring_loop():
+    for m in (icosahedron(), flat_cube(1), torus_tri(12, 6), torus_quad(12, 6)):
+        k = np.empty(m.vertex_count)
+        spread = np.empty(m.vertex_count)
+        for p in range(m.vertex_count):
+            ring, _ = m.ring(p)
+            e = m.vertices[ring] - m.vertices[p]
+            e_next = np.roll(e, -1, axis=0)
+            norms = np.linalg.norm(np.cross(e, e_next), axis=1)
+            gam = np.arctan2(norms, np.einsum("ij,ij->i", e, e_next))
+            k[p] = (2 * math.pi - gam.sum()) / (norms.sum() / 6.0)
+        for p in range(m.vertex_count):
+            values = k[np.append(m.ring(p)[0], p)]
+            spread[p] = values.max() - values.min()
+        assert np.abs(curvature(m) - k).max() < 1e-12 * np.abs(k).max()
+        assert np.array_equal(zeta(m, k), spread)
+
+
 def test_zeta_definition_on_explicit_values():
     m = octahedron()
     # neighborhood values {1, 2, 5}: spread is 4 regardless of multiplicity
@@ -158,6 +188,20 @@ def test_gauss_bonnet_torus_is_zero():
         )
         total += 2 * math.pi - gam.sum()
     assert abs(total) < 1e-9
+
+
+@pytest.mark.parametrize("mesh_fn, base", [(torus_tri, "lp"), (torus_quad, "cc")])
+def test_measure_is_scale_free(mesh_fn, base):
+    """psi and xi do not depend on the coordinate scale; zeta* scales as 1 / s^2."""
+    mesh = mesh_fn(12, 6)
+    refined = refine_once(mesh.with_normals(naive_normals(mesh)), SchemeKind(base, modified=True))
+    base_report = measure(refined, xi=True)
+    for s in (1e-8, 1e-6, 1e-3, 1e3, 1e6, 1e8):
+        scaled = Mesh(refined.vertices * s, refined.faces, normals=refined.normals)
+        report = measure(scaled, xi=True)
+        assert report.psi_deg == pytest.approx(base_report.psi_deg, rel=1e-9)
+        assert report.xi_deg == pytest.approx(base_report.xi_deg, rel=1e-9)
+        assert report.zeta_star * s * s == pytest.approx(base_report.zeta_star, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +279,31 @@ def test_colors_negative_ramp():
     assert tuple(colors[2]) == (0, 0, 255)
 
 
+def _colors_loop(k, lo, hi):
+    """The per-value reference ramp."""
+    out = np.empty((len(k), 3), dtype=np.uint8)
+    band = 1e-9 * max(abs(lo), hi)
+    for i, value in enumerate(k):
+        if abs(value) <= band:
+            out[i] = (128, 255, 128)
+        elif value > 0.0:
+            out[i] = (255, round(255 * (1.0 - min(value / hi, 1.0))), 0)
+        else:
+            out[i] = (0, round(255 * (1.0 - min(value / lo, 1.0))), 255)
+    return out
+
+
+def test_colors_match_the_per_value_ramp(rng):
+    lo, hi = -0.3, 0.7
+    halfway = [0.5 * hi * (1 + j / 255) for j in range(-3, 4)]   # .5 roundings
+    edges = [0.0, -0.0, 7e-10, -7e-10, 1e-8, lo, hi, 2 * lo, 2 * hi]
+    k = np.concatenate([rng.uniform(-1.0, 1.0, 500), edges, halfway])
+    assert np.array_equal(curvature_colors(k, lo, hi), _colors_loop(k, lo, hi))
+
+
 def test_colors_bad_range_rejected():
+    with pytest.raises(ValueError):
+        curvature_colors(np.array([0.1, np.nan]), -0.25, 0.25)
     with pytest.raises(ValueError):
         curvature_colors(np.zeros(3), 0.0, 0.0)
     with pytest.raises(ValueError):

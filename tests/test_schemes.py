@@ -314,6 +314,66 @@ def test_modified_refine_equals_scalar_oracle(base, normal_kind, rng):
         mesh = out
 
 
+# ---------------------------------------------------------------------------
+# independence of face order, corner rotation and vertex labels
+# ---------------------------------------------------------------------------
+
+def _match_nearest(a, b):
+    """For every row of ``a``, the index of the nearest row of ``b``; must be a bijection."""
+    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    nearest = d.argmin(axis=1)
+    assert len(np.unique(nearest)) == len(a)
+    return nearest
+
+
+def _assert_same_refinement(out, other):
+    match = _match_nearest(out.vertices, other.vertices)
+    assert np.abs(out.vertices - other.vertices[match]).max() < 1e-12
+    assert np.abs(out.normals - other.normals[match]).max() < 1e-12
+
+
+def _relabelled(mesh, rng, permute_vertices):
+    faces = mesh.faces[rng.permutation(mesh.face_count)]
+    shift = rng.integers(0, mesh.arity, size=mesh.face_count)
+    cols = (np.arange(mesh.arity)[None, :] + shift[:, None]) % mesh.arity
+    faces = np.take_along_axis(faces, cols, axis=1)
+    verts, normals = mesh.vertices, mesh.normals
+    if permute_vertices:
+        perm = rng.permutation(mesh.vertex_count)  # new label of each old vertex
+        verts = np.empty_like(verts)
+        verts[perm] = mesh.vertices
+        normals = np.empty_like(normals)
+        normals[perm] = mesh.normals
+        faces = perm[faces]
+    return Mesh(verts, faces, normals=normals)
+
+
+@pytest.mark.parametrize("modified", [False, True])
+@pytest.mark.parametrize("base", ALL_BASES)
+def test_refinement_independent_of_face_order_and_corner_rotation(base, modified, rng):
+    mesh = _posed_torus(base, rng, "perturbed")
+    scheme = SchemeKind(base, modified=modified)
+    out = refine_once(mesh, scheme)
+    other = refine_once(_relabelled(mesh, rng, permute_vertices=False), scheme)
+    _assert_same_refinement(out, other)
+
+
+@pytest.mark.parametrize("base", ALL_BASES)
+def test_linear_refinement_independent_of_vertex_labels(base, rng):
+    mesh = _posed_torus(base, rng, "perturbed")
+    out = refine_once(mesh, SchemeKind(base))
+    other = refine_once(_relabelled(mesh, rng, permute_vertices=True), SchemeKind(base))
+    _assert_same_refinement(out, other)
+
+
+def test_refined_normals_are_the_fold_output():
+    mesh = torus_tri(12, 6)
+    mesh = refine_once(mesh.with_normals(naive_normals(mesh)), SchemeKind("lp", modified=True))
+    step = refinement_step(mesh, "lp")
+    _, normals = _circle_fold(mesh, step.stencils)
+    assert np.array_equal(refine_once(mesh, SchemeKind("lp", modified=True)).normals, normals)
+
+
 def test_antipodal_error_names_output_vertex_and_stencil():
     normals = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     with pytest.raises(AntipodalNormalsError) as err:
