@@ -100,6 +100,8 @@ def cmd_morph(args) -> None:
             raise ValueError
     except ValueError:
         raise ValueError(f"--nstar must be three comma-separated numbers, got {args.nstar!r}") from None
+    if not np.isfinite(nstar).all():
+        raise ValueError(f"--nstar components must be finite, got {args.nstar!r}")
     norm = np.linalg.norm(nstar)
     if norm == 0.0:
         raise ValueError("--nstar must be nonzero")

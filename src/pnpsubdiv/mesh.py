@@ -419,19 +419,13 @@ def save_obj(mesh: Mesh, path) -> None:
     vertex list and referenced as ``f v//vn``; a save/load round trip
     preserves the mesh to better than 1e-9 relative.
     """
-    lines = []
-    for x, y, z in mesh.vertices:
-        lines.append(f"v {x:.9g} {y:.9g} {z:.9g}")
+    lines = ["v {:.9g} {:.9g} {:.9g}".format(*row) for row in mesh.vertices.tolist()]
     if mesh.normals is not None:
-        for x, y, z in mesh.normals:
-            lines.append(f"vn {x:.9g} {y:.9g} {z:.9g}")
-        for face in mesh.faces:
-            refs = " ".join(f"{i + 1}//{i + 1}" for i in face)
-            lines.append(f"f {refs}")
+        lines += ["vn {:.9g} {:.9g} {:.9g}".format(*row) for row in mesh.normals.tolist()]
+        face = "f " + " ".join(f"{{{j}}}//{{{j}}}" for j in range(mesh.arity))
     else:
-        for face in mesh.faces:
-            refs = " ".join(str(i + 1) for i in face)
-            lines.append(f"f {refs}")
+        face = "f " + " ".join("{}" for _ in range(mesh.arity))
+    lines += [face.format(*row) for row in (mesh.faces + 1).tolist()]
     lines.append("")
     _atomic_write(path, "\n".join(lines).encode("utf-8"))
 
@@ -477,15 +471,11 @@ def save_ply(mesh: Mesh, path, colors=None, binary: bool = False) -> None:
         data = ("\n".join(header) + "\n").encode("ascii") + body
     else:
         lines = list(header)
-        for i in range(n):
-            x, y, z = mesh.vertices[i]
-            row = f"{x:.9g} {y:.9g} {z:.9g}"
-            if colors is not None:
-                r, g, b = colors[i]
-                row += f" {r} {g} {b}"
-            lines.append(row)
-        for face in mesh.faces:
-            lines.append(f"{mesh.arity} " + " ".join(str(i) for i in face))
+        vertex = "{:.9g} {:.9g} {:.9g}" + ("" if colors is None else " {} {} {}")
+        rgb = [()] * n if colors is None else colors.tolist()
+        lines += [vertex.format(*p, *c) for p, c in zip(mesh.vertices.tolist(), rgb)]
+        face = f"{mesh.arity} " + " ".join("{}" for _ in range(mesh.arity))
+        lines += [face.format(*row) for row in mesh.faces.tolist()]
         lines.append("")
         data = "\n".join(lines).encode("ascii")
     _atomic_write(path, data)

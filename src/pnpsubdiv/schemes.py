@@ -1,17 +1,18 @@
 """Four classical subdivision schemes and their point-normal-pair variants.
 
-Each scheme is expressed as a :class:`RefinementStep`: one affine stencil
-over the input vertices per output vertex, plus the refined face list. The
-same stencils drive both modes:
+Each scheme is expressed as a :class:`RefinementStep`: one CSR table of
+affine stencils over the input vertices, a row per output vertex, plus the
+refined face list. The same table drives both modes:
 
 * ``linear``: the stencil sums are applied to the vertex positions (the
   classical scheme); naive normals of the refined mesh are attached for
   display.
-* ``modified``: every stencil is compiled into a chain of weighted binary
+* ``modified``: every row is compiled into a chain of weighted binary
   averages and evaluated with the 3D circle average, refining full
   point-normal pairs. A level is folded at once: step ``k`` of every chain
   is one array evaluation of the circle average, with the same floats as
-  evaluating each chain on its own with :func:`~pnpsubdiv.circle3d.circle_avg_3d`.
+  the scalar reference, which folds each row's
+  :class:`~pnpsubdiv.stencil.Stencil` with :func:`~pnpsubdiv.circle3d.circle_avg_3d`.
 
 Catalog (quad schemes require quad meshes, triangle schemes triangle
 meshes):
@@ -46,7 +47,7 @@ from .circle3d import _circle_avg_rows, circle_avg_3d
 from .errors import AntipodalNormalsError, ArityMismatchError, MissingNormalsError
 from .geom import Pnp, _invalid_pnp_rows
 from .mesh import Mesh, naive_normals
-from .stencil import Stencil, compile_plan, compile_table, evaluate_plan
+from .stencil import Stencil, StencilTable, compile_plan, compile_table, evaluate_plan
 
 __all__ = ["SchemeKind", "RefinementStep", "refinement_step", "refine_once", "refine"]
 
@@ -80,10 +81,15 @@ class SchemeKind:
 
 @dataclass(frozen=True)
 class RefinementStep:
-    """One topological refinement: per-output-vertex stencils and new faces."""
+    """One topological refinement: the stencil table of the output vertices and the new faces."""
 
-    stencils: tuple[Stencil, ...]
+    table: StencilTable
     faces: np.ndarray
+
+    @property
+    def stencils(self) -> tuple[Stencil, ...]:
+        """Every row of ``table`` as a :class:`Stencil`, the input of the scalar reference."""
+        return tuple(self.table.stencil(i) for i in range(len(self.table)))
 
 
 # ---------------------------------------------------------------------------
@@ -196,20 +202,12 @@ def _k4_terms(mesh: Mesh) -> list:
 _TERMS = {"cc": _cc_terms, "lp": _loop_terms, "by": _butterfly_terms, "k4": _k4_terms}
 
 
-def _merged_stencils(count: int, groups) -> tuple[Stencil, ...]:
-    """``Stencil.merged`` of rows ``0 .. count - 1``, each row's terms in group order.
-
-    Repeated indices are thus summed in the order the rule lists them.
-    """
+def _merged_table(count: int, groups) -> StencilTable:
+    """The stencil table of rows ``0 .. count - 1``, repeats summed in the rule's order."""
     rows = np.concatenate([r for r, _, _ in groups])
     index = np.concatenate([i for _, i, _ in groups])
     weight = np.concatenate([np.broadcast_to(np.asarray(w, float), len(r)) for r, _, w in groups])
-    order = np.argsort(rows, kind="stable")
-    index, weight = index[order].tolist(), weight[order].tolist()
-    ends = np.cumsum(np.bincount(rows, minlength=count)).tolist()
-    return tuple(
-        Stencil.merged(zip(index[s:e], weight[s:e])) for s, e in zip([0] + ends[:-1], ends)
-    )
+    return StencilTable.merged(count, rows, index, weight)
 
 
 def _split_faces(mesh: Mesh) -> np.ndarray:
@@ -236,29 +234,16 @@ def refinement_step(mesh: Mesh, base: str) -> RefinementStep:
             f"scheme {base!r} refines arity-{_ARITY[base]} meshes, this mesh has arity {mesh.arity}"
         )
     count = mesh.vertex_count + mesh.edge_count + (mesh.face_count if mesh.arity == 4 else 0)
-    return RefinementStep(_merged_stencils(count, _TERMS[base](mesh)), _split_faces(mesh))
+    return RefinementStep(_merged_table(count, _TERMS[base](mesh)), _split_faces(mesh))
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _affine_positions(stencils, vertices) -> np.ndarray:
-    rows, cols, weights = [], [], []
-    for i, st in enumerate(stencils):
-        for idx, w in st.terms:
-            rows.append(i)
-            cols.append(idx)
-            weights.append(w)
-    out = np.zeros((len(stencils), 3))
-    weights = np.array(weights)
-    np.add.at(out, np.array(rows), weights[:, None] * vertices[np.array(cols)])
-    return out
-
-
-def _average_one(mesh: Mesh, stencils, i: int) -> Pnp:
+def _average_one(mesh: Mesh, table: StencilTable, i: int) -> Pnp:
     """Output vertex ``i`` by the scalar path: its plan folded with :func:`circle_avg_3d`."""
-    st = stencils[i]
+    st = table.stencil(i)
     pnps = {j: Pnp(mesh.vertices[j], mesh.normals[j]) for j, _ in st.terms}
     try:
         return evaluate_plan(compile_plan(st), pnps, circle_avg_3d)
@@ -269,8 +254,8 @@ def _average_one(mesh: Mesh, stencils, i: int) -> Pnp:
         ) from exc
 
 
-def _circle_fold(mesh: Mesh, stencils) -> tuple[np.ndarray, np.ndarray]:
-    """Points and normals of every stencil, folded with the circle average.
+def _circle_fold(mesh: Mesh, table: StencilTable) -> tuple[np.ndarray, np.ndarray]:
+    """Points and normals of every row of ``table``, folded with the circle average.
 
     Step ``k`` of every plan is one call of the row-wise circle average.
     When rows fail, the lowest-numbered output vertex among them is
@@ -282,24 +267,24 @@ def _circle_fold(mesh: Mesh, stencils) -> tuple[np.ndarray, np.ndarray]:
     bad = np.flatnonzero(_invalid_pnp_rows(points, normals))
     if len(bad):
         Pnp(mesh.vertices[bad[0]], mesh.normals[bad[0]])  # raises the constructor's error
-    table = compile_table(stencils)
-    pts = points[:, table.first]
-    nms = normals[:, table.first]
-    failed = np.zeros(len(stencils), dtype=bool)
-    for index, w in table.steps:
+    plans = compile_table(table)
+    pts = points[:, plans.first]
+    nms = normals[:, plans.first]
+    failed = np.zeros(len(table), dtype=bool)
+    for index, w in plans.steps:
         m = len(index)
         pts[:, :m], nms[:, :m], step_failed = _circle_avg_rows(
             pts[:, :m], nms[:, :m], points[:, index], normals[:, index], w
         )
         failed[:m] |= step_failed
     if failed.any():
-        i = int(table.rows[failed].min())
-        _average_one(mesh, stencils, i)
+        i = int(plans.rows[failed].min())
+        _average_one(mesh, table, i)
         raise AssertionError(f"output vertex {i} failed the fold but not the scalar average")
-    out_points = np.empty((len(stencils), 3))
-    out_normals = np.empty((len(stencils), 3))
-    out_points[table.rows] = pts.T
-    out_normals[table.rows] = nms.T
+    out_points = np.empty((len(table), 3))
+    out_normals = np.empty((len(table), 3))
+    out_points[plans.rows] = pts.T
+    out_normals[plans.rows] = nms.T
     return out_points, out_normals
 
 
@@ -313,13 +298,16 @@ def refine_once(mesh: Mesh, scheme: SchemeKind) -> Mesh:
     """
     step = refinement_step(mesh, scheme.base)
     if not scheme.modified:
-        points = _affine_positions(step.stencils, mesh.vertices)
+        table = step.table
+        points = np.zeros((len(table), 3))
+        rows = np.repeat(np.arange(len(table)), np.diff(table.indptr))
+        np.add.at(points, rows, table.weight[:, None] * mesh.vertices[table.index])
         out = Mesh(points, step.faces)
         return out.with_normals(naive_normals(out))
 
     if mesh.normals is None:
         raise MissingNormalsError("modified schemes refine point-normal pairs; attach normals")
-    points, normals = _circle_fold(mesh, step.stencils)
+    points, normals = _circle_fold(mesh, step.table)
     return Mesh(points, step.faces, normals=normals)
 
 

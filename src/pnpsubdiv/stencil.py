@@ -14,18 +14,18 @@ plans are identical across runs and platforms. (Observed nonlinear results
 are nearly independent of the order, so any fixed order does; the recorded
 spread across orders is checked in the test suite, not asserted.)
 
-:func:`compile_plan` and :func:`evaluate_plan` handle one stencil and are
-the scalar reference. Mesh refinement compiles a whole level at once with
-:func:`compile_table`, which yields the same element order and the same
-binary weights for every stencil as arrays, so a level can be folded as a
-few vector steps instead of one plan per output vertex. Neither is cached:
-stencils hold absolute vertex indices, so almost none repeat.
+:class:`Stencil`, :func:`compile_plan` and :func:`evaluate_plan` handle one
+stencil and are the scalar reference. Mesh refinement keeps a whole level
+in one CSR :class:`StencilTable`, and :func:`compile_table` yields the same
+element order and binary weights for every row as arrays, so a level is
+folded as a few vector steps. Nothing is cached: stencils hold absolute
+vertex indices, so almost none repeat.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .errors import AffineWeightError, ZeroWeightError
 
 __all__ = [
     "Stencil",
+    "StencilTable",
     "AvgPlan",
     "PlanTable",
     "compile_plan",
@@ -71,18 +72,53 @@ class Stencil:
         if not abs(total - 1.0) <= _SUM_TOL:  # also refuses a nan weight
             raise AffineWeightError(f"weights sum to {total!r}, expected 1")
 
-    @classmethod
-    def merged(cls, pairs: Iterable[tuple[int, float]]) -> "Stencil":
-        """Build a stencil summing weights of repeated indices, dropping zeros.
 
-        Subdivision rules assembled from overlapping templates (butterfly
-        wings on small meshes, tensor-product grids that wrap around) can
-        hit the same vertex more than once or cancel it out entirely.
+@dataclass(frozen=True)
+class StencilTable:
+    """Many stencils as one CSR table: row ``i`` has the terms ``(index[k],
+    weight[k])`` for ``k`` in ``indptr[i]:indptr[i + 1]``, indices ascending.
+    """
+
+    indptr: np.ndarray
+    index: np.ndarray
+    weight: np.ndarray
+
+    @classmethod
+    def merged(cls, count: int, rows, index, weight) -> "StencilTable":
+        """The table of rows ``0 .. count - 1`` with term ``(index[k], weight[k])`` in row ``rows[k]``.
+
+        Rules assembled from overlapping templates (butterfly wings on small
+        meshes, tensor-product grids that wrap around) can hit an element
+        more than once in a row or cancel it out. Repeats are summed one by
+        one in the order given, and zero sums dropped. Every row must then
+        be a valid :class:`Stencil`; the lowest row that is not raises
+        :class:`AffineWeightError`. Indices must be nonnegative.
         """
-        acc: dict[int, float] = {}
-        for idx, weight in pairs:
-            acc[idx] = acc.get(idx, 0.0) + weight
-        return cls(tuple((i, w) for i, w in sorted(acc.items()) if w != 0.0))
+        n = int(index.max(initial=-1)) + 1
+        keys, slot = np.unique(rows * n + index, return_inverse=True)
+        summed = np.zeros(len(keys))
+        np.add.at(summed, slot, weight)
+        keep = summed != 0.0
+        rows, index, weight = keys[keep] // n, keys[keep] % n, summed[keep]
+
+        total = np.zeros(count)
+        np.add.at(total, rows, weight)
+        bad = np.flatnonzero(~(np.abs(total - 1.0) <= _SUM_TOL))  # also refuses a nan weight
+        lengths = np.bincount(rows, minlength=count)
+        if len(bad):
+            i = int(bad[0])
+            if lengths[i] == 0:
+                raise AffineWeightError(f"row {i}: stencil must have at least one term")
+            raise AffineWeightError(f"row {i}: weights sum to {float(total[i])!r}, expected 1")
+        return cls(np.concatenate(([0], np.cumsum(lengths))), index, weight)
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def stencil(self, i: int) -> Stencil:
+        """Row ``i`` as a :class:`Stencil`, the input of the scalar reference."""
+        s, e = self.indptr[i], self.indptr[i + 1]
+        return Stencil(tuple(zip(self.index[s:e].tolist(), self.weight[s:e].tolist())))
 
 
 @dataclass(frozen=True)
@@ -141,25 +177,23 @@ class PlanTable:
     steps: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
-def compile_table(stencils: Sequence[Stencil]) -> PlanTable:
-    """Compile every stencil at once, as :func:`compile_plan` would one by one.
+def compile_table(table: StencilTable) -> PlanTable:
+    """Compile every row of ``table`` at once, as :func:`compile_plan` would one by one.
 
-    The terms are put in plan order by a single sort: by stencil, positive
+    The terms are put in plan order by a single sort: by row, positive
     weights first, then descending absolute weight, then ascending index.
     The binary weights are computed from the same running sums, so they are
     the same floats. Raises :class:`AffineWeightError` like
     :func:`compile_plan`.
     """
-    lengths = np.fromiter((len(st.terms) for st in stencils), np.intp, len(stencils))
-    terms = [t for st in stencils for t in st.terms]
-    index = np.fromiter((t[0] for t in terms), np.intp, len(terms))
-    weight = np.fromiter((t[1] for t in terms), float, len(terms))
-    stencil_of = np.repeat(np.arange(len(stencils)), lengths)
+    lengths = np.diff(table.indptr)
+    index, weight = table.index, table.weight
+    stencil_of = np.repeat(np.arange(len(table)), lengths)
     order = np.lexsort((index, -np.abs(weight), weight < 0.0, stencil_of))
     index, weight = index[order], weight[order]
 
     rows = np.argsort(-lengths, kind="stable")
-    starts = (np.cumsum(lengths) - lengths)[rows]
+    starts = table.indptr[rows]
     lengths = lengths[rows]
     sigma = weight[starts]
     if not (sigma > 0.0).all():

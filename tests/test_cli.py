@@ -1,4 +1,7 @@
+import warnings
+
 import numpy as np
+import pytest
 
 from meshes import tetrahedron, torus_tri
 from pnpsubdiv import Mesh, cli, save_obj
@@ -47,3 +50,15 @@ def test_metrics_on_a_tiny_mesh_succeed(tmp_path):
     save_obj(Mesh(m.vertices * 1e-8, m.faces), src)
     argv = ["metrics", "--input", str(src), "--json", str(tmp_path / "report.json")]
     assert cli.main(argv) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("nstar", ["nan,0,0", "inf,0,0", "1,inf,0", "0,0,-inf"])
+def test_morph_rejects_a_non_finite_nstar(tmp_path, caplog, nstar):
+    src = tmp_path / "torus.obj"
+    save_obj(torus_tri(12, 6), src)
+    argv = ["morph", "--input", str(src), "--nstar", nstar, "--outdir", str(tmp_path / "out")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == cli.EXIT_USAGE
+    assert caught == []
+    assert f"--nstar components must be finite, got {nstar!r}" in caplog.text

@@ -268,6 +268,82 @@ def test_obj_roundtrip_with_normals(tmp_path):
     assert np.array_equal(back.faces, m.faces)
 
 
+def _extreme_mesh(arity):
+    """A mesh whose coordinates and normals carry -0.0, 1e-300, 1e300 and mixed signs."""
+    m = tetrahedron() if arity == 3 else cube()
+    extremes = np.array([
+        [-0.0, 1e-300, 1e300], [1.5, -2.25, 3e-7], [-1e300, 0.1, -0.0],
+        [123456789.123, -1e-300, 7.0], [-1e-300, 0.0, -123.456], [2.0 / 3.0, -1.0 / 3.0, 1e-5],
+        [-7.25e12, 0.5, -0.0], [1.0, -1.0, 1e299],
+    ])
+    n = np.array([
+        [-0.0, 0.0, 1.0], [0.6, -0.8, -0.0], [-0.0, -1.0, 0.0], [1.0, -0.0, -0.0],
+        [0.0, 0.6, -0.8], [-0.48, 0.64, 0.6], [0.8, 0.0, -0.6], [-1.0, 0.0, 0.0],
+    ])
+    k = m.vertex_count
+    return Mesh(extremes[:k], m.faces), n[:k]
+
+
+def _obj_text_loop(mesh):
+    """The per-row f-string reference encoding of ``save_obj``."""
+    lines = []
+    for x, y, z in mesh.vertices:
+        lines.append(f"v {x:.9g} {y:.9g} {z:.9g}")
+    if mesh.normals is not None:
+        for x, y, z in mesh.normals:
+            lines.append(f"vn {x:.9g} {y:.9g} {z:.9g}")
+        for face in mesh.faces:
+            refs = " ".join(f"{i + 1}//{i + 1}" for i in face)
+            lines.append(f"f {refs}")
+    else:
+        for face in mesh.faces:
+            refs = " ".join(str(i + 1) for i in face)
+            lines.append(f"f {refs}")
+    lines.append("")
+    return "\n".join(lines).encode("utf-8")
+
+
+def _ply_ascii_body_loop(mesh, colors):
+    """The per-row f-string reference encoding of an ASCII PLY body."""
+    lines = []
+    for i in range(mesh.vertex_count):
+        x, y, z = mesh.vertices[i]
+        row = f"{x:.9g} {y:.9g} {z:.9g}"
+        if colors is not None:
+            r, g, b = colors[i]
+            row += f" {r} {g} {b}"
+        lines.append(row)
+    for face in mesh.faces:
+        lines.append(f"{mesh.arity} " + " ".join(str(i) for i in face))
+    lines.append("")
+    return "\n".join(lines).encode("ascii")
+
+
+@pytest.mark.parametrize("with_normals", [False, True])
+@pytest.mark.parametrize("arity", [3, 4])
+def test_obj_bytes_equal_the_row_loop(tmp_path, arity, with_normals):
+    m, n = _extreme_mesh(arity)
+    if with_normals:
+        m = m.with_normals(n)
+    path = tmp_path / "out.obj"
+    save_obj(m, path)
+    assert path.read_bytes() == _obj_text_loop(m)
+
+
+@pytest.mark.parametrize("with_colors", [False, True])
+@pytest.mark.parametrize("arity", [3, 4])
+def test_ply_ascii_bytes_equal_the_row_loop(tmp_path, arity, with_colors):
+    m, _ = _extreme_mesh(arity)
+    colors = None
+    if with_colors:
+        colors = np.arange(3 * m.vertex_count, dtype=np.uint8).reshape(-1, 3) * 11
+    path = tmp_path / "out.ply"
+    save_ply(m, path, colors=colors)
+    raw = path.read_bytes()
+    body = raw[raw.index(b"end_header\n") + len(b"end_header\n"):]
+    assert body == _ply_ascii_body_loop(m, colors)
+
+
 def test_obj_cube_is_valid(tmp_path):
     path = tmp_path / "cube.obj"
     save_obj(cube(), path)

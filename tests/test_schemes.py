@@ -6,6 +6,7 @@ import pytest
 from meshes import (
     cube,
     icosahedron,
+    octahedron,
     quad_sphere,
     random_rotation,
     tetrahedron,
@@ -29,7 +30,8 @@ from pnpsubdiv import (
     refinement_step,
 )
 from pnpsubdiv.errors import AntipodalNormalsError, ArityMismatchError, MissingNormalsError
-from pnpsubdiv.schemes import _circle_fold
+from pnpsubdiv.schemes import _ARITY, _TERMS, _circle_fold
+from test_stencil import _table
 
 ALL_BASES = ["cc", "lp", "k4", "by"]
 
@@ -110,6 +112,68 @@ def test_interpolatory_old_vertex_stencils_are_identity():
         step = refinement_step(mesh, base)
         for v in range(mesh.vertex_count):
             assert step.stencils[v].terms == ((v, 1.0),)
+
+
+# Butterfly wings repeat and cancel on the tetrahedron and the octahedron;
+# on the 3 x 3 torus the k4 taps of a grid line wrap onto each other, up to
+# four times in one row
+_TABLE_MESHES = {
+    3: [tetrahedron, octahedron, icosahedron, lambda: torus_tri(12, 6)],
+    4: [cube, lambda: torus_quad(12, 6), lambda: torus_quad(3, 3)],
+}
+
+
+def _two_levels(base):
+    """Every test mesh of the scheme's arity and its first refinement."""
+    for mesh_fn in _TABLE_MESHES[_ARITY[base]]:
+        mesh = mesh_fn()
+        yield mesh
+        yield refine_once(mesh, SchemeKind(base))
+
+
+def _dict_merged_terms(mesh, base):
+    """Every output stencil's terms by dict accumulation over the scheme's term groups.
+
+    Each row takes its terms in the order the rule lists them, sums repeated
+    indices in that order, drops zero sums and sorts by index.
+    """
+    count = mesh.vertex_count + mesh.edge_count + (mesh.face_count if mesh.arity == 4 else 0)
+    acc = [{} for _ in range(count)]
+    for rows, index, weight in _TERMS[base](mesh):
+        weight = np.broadcast_to(np.asarray(weight, float), len(rows))
+        for row, idx, w in zip(rows.tolist(), index.tolist(), weight.tolist()):
+            acc[row][idx] = acc[row].get(idx, 0.0) + w
+    return [tuple((i, w) for i, w in sorted(terms.items()) if w != 0.0) for terms in acc]
+
+
+@pytest.mark.parametrize("base", ALL_BASES)
+def test_stencils_equal_the_dict_merge(base):
+    for mesh in _two_levels(base):
+        step = refinement_step(mesh, base)
+        assert [st.terms for st in step.stencils] == _dict_merged_terms(mesh, base)
+
+
+def _affine_positions(stencils, vertices):
+    """Linear positions by a walk over every stencil term, the reference for ``refine_once``."""
+    rows, cols, weights = [], [], []
+    for i, st in enumerate(stencils):
+        for idx, w in st.terms:
+            rows.append(i)
+            cols.append(idx)
+            weights.append(w)
+    out = np.zeros((len(stencils), 3))
+    weights = np.array(weights)
+    np.add.at(out, np.array(rows), weights[:, None] * vertices[np.array(cols)])
+    return out
+
+
+@pytest.mark.parametrize("base", ALL_BASES)
+def test_linear_positions_equal_the_term_walk(base):
+    for mesh in _two_levels(base):
+        step = refinement_step(mesh, base)
+        out = refine_once(mesh, SchemeKind(base))
+        assert np.array_equal(out.vertices, _affine_positions(step.stencils, mesh.vertices))
+        assert np.array_equal(out.faces, step.faces)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +368,7 @@ def test_modified_refine_equals_scalar_oracle(base, normal_kind, rng):
         want = [evaluate_plan(compile_plan(st), pnps, circle_avg_3d) for st in step.stencils]
         points = np.array([r.point for r in want])
         normals = np.array([r.normal for r in want])
-        got_points, got_normals = _circle_fold(mesh, step.stencils)
+        got_points, got_normals = _circle_fold(mesh, step.table)
         assert np.array_equal(got_points, points)
         assert np.array_equal(got_normals, normals)
         out = refine_once(mesh, SchemeKind(base, modified=True))
@@ -370,7 +434,7 @@ def test_refined_normals_are_the_fold_output():
     mesh = torus_tri(12, 6)
     mesh = refine_once(mesh.with_normals(naive_normals(mesh)), SchemeKind("lp", modified=True))
     step = refinement_step(mesh, "lp")
-    _, normals = _circle_fold(mesh, step.stencils)
+    _, normals = _circle_fold(mesh, step.table)
     assert np.array_equal(refine_once(mesh, SchemeKind("lp", modified=True)).normals, normals)
 
 
@@ -390,12 +454,12 @@ def test_fold_reports_the_lowest_failing_output_vertex():
     # vertex 0 first and fails there.
     normals = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     mesh = tetrahedron().with_normals(normals)
-    stencils = (
+    table = _table([
         Stencil(((0, 0.5), (2, 0.375), (1, 0.125))),
         Stencil(((1, 0.4), (0, 0.3), (2, 0.2), (3, 0.1))),
-    )
+    ])
     with pytest.raises(AntipodalNormalsError, match="output vertex 0 "):
-        _circle_fold(mesh, stencils)
+        _circle_fold(mesh, table)
 
 
 def test_non_finite_intermediate_point_raises_value_error():

@@ -13,7 +13,7 @@ from pnpsubdiv import (
     evaluate_plan,
 )
 from pnpsubdiv.errors import AffineWeightError, ZeroWeightError
-from pnpsubdiv.stencil import compile_table
+from pnpsubdiv.stencil import StencilTable, compile_table
 
 
 def test_stencil_rejects_bad_weights():
@@ -29,9 +29,54 @@ def test_stencil_rejects_bad_weights():
         Stencil(((0, math.nan), (1, 1.0)))
 
 
+def _table(stencils):
+    """The StencilTable with ``stencils`` as its rows, bypassing :meth:`StencilTable.merged`."""
+    terms = [t for st in stencils for t in sorted(st.terms)]
+    return StencilTable(
+        np.cumsum([0] + [len(st.terms) for st in stencils]),
+        np.array([i for i, _ in terms], dtype=np.intp),
+        np.array([w for _, w in terms], dtype=float),
+    )
+
+
+def _merged(count, terms):
+    """``StencilTable.merged`` of ``(row, index, weight)`` triples."""
+    rows, index, weight = zip(*terms)
+    return StencilTable.merged(count, np.array(rows), np.array(index), np.array(weight))
+
+
 def test_merged_collapses_duplicates_and_zeros():
-    st = Stencil.merged([(0, 0.5), (1, 0.75), (1, -0.25), (2, 0.125), (2, -0.125)])
-    assert st.terms == ((0, 0.5), (1, 0.5))
+    table = _merged(1, [(0, 0, 0.5), (0, 1, 0.75), (0, 1, -0.25), (0, 2, 0.125), (0, 2, -0.125)])
+    assert table.stencil(0).terms == ((0, 0.5), (1, 0.5))
+
+
+def test_merged_sorts_rows_and_sums_repeats_in_the_given_order():
+    # three repeats of index 4, whose sum depends on the order of addition
+    weights = [0.1, 0.7, 0.2]
+    assert (0.1 + 0.7) + 0.2 != (0.2 + 0.7) + 0.1
+    terms = [(1, 4, w) for w in weights] + [(0, 9, 0.25), (0, 2, 0.75), (1, 3, 0.0)]
+    table = _merged(2, terms)
+    assert table.stencil(0).terms == ((2, 0.75), (9, 0.25))
+    assert table.stencil(1).terms == ((4, (0.1 + 0.7) + 0.2),)
+    assert np.array_equal(table.indptr, [0, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "terms,message",
+    [
+        ([(0, 0, 1.0), (1, 2, 0.5), (1, 2, -0.5)], "row 1: stencil must have at least one term"),
+        ([(0, 0, 1.0), (2, 1, 1.0)], "row 1: stencil must have at least one term"),
+        ([(0, 0, 1.0), (1, 0, 0.5), (1, 1, 0.6)], "row 1: weights sum to 1.1, expected 1"),
+        (
+            [(0, 0, 0.5), (0, 1, 0.5), (1, 0, math.nan), (1, 1, 1.0)],
+            "row 1: weights sum to nan, expected 1",
+        ),
+    ],
+)
+def test_merged_rejects_invalid_rows(terms, message):
+    with pytest.raises(AffineWeightError) as err:
+        _merged(3, terms)
+    assert str(err.value) == message
 
 
 def test_compile_two_terms():
@@ -173,7 +218,7 @@ def test_compile_table_equals_compile_plan(rng):
     # equal weights tie-broken by index, an identity stencil, negative taps
     stencils += [Stencil(((7, 0.25), (3, 0.25), (5, 0.25), (1, 0.25))), Stencil(((4, 1.0),))]
     stencils += [Stencil(((2, 9 / 16), (0, 9 / 16), (9, -1 / 16), (6, -1 / 16)))]
-    assert _table_plans(compile_table(stencils)) == [compile_plan(st) for st in stencils]
+    assert _table_plans(compile_table(_table(stencils))) == [compile_plan(st) for st in stencils]
 
 
 def _unchecked(terms):
@@ -195,4 +240,4 @@ def test_compile_rejects_non_positive_partial_sums(terms, message):
     with pytest.raises(AffineWeightError, match=message):
         compile_plan(_unchecked(terms))
     with pytest.raises(AffineWeightError, match=message):
-        compile_table([good, _unchecked(terms)])
+        compile_table(_table([good, _unchecked(terms)]))
