@@ -10,7 +10,7 @@ turns each of them into a scheme refining point-normal pairs, so the shape
 of the limit surface can be edited through the initial normals alone.
 """
 
-from .circle3d import AvgContext, chord_point, circle_avg_3d, deviation_from_chord, helix_trace
+from .circle3d import chord_point, circle_avg_3d, deviation_from_chord, helix_trace
 from .geom import (
     Plane,
     Pnp,
@@ -19,7 +19,6 @@ from .geom import (
     circle_avg_2d,
     geodesic_avg,
     get_tolerances,
-    set_tolerances,
     z_dir,
 )
 from .mesh import Mesh, load_obj, naive_normals, save_obj, save_ply
@@ -39,7 +38,6 @@ from .stencil import AvgPlan, Stencil, affine_average, compile_plan, evaluate_pl
 __version__ = "0.1.0"
 
 __all__ = [
-    "AvgContext",
     "AvgPlan",
     "Mesh",
     "MetricsReport",
@@ -73,7 +71,6 @@ __all__ = [
     "refinement_step",
     "save_obj",
     "save_ply",
-    "set_tolerances",
     "z_dir",
     "zeta",
 ]

@@ -18,13 +18,11 @@ distance between the averaged point and the chord point).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AntipodalNormalsError, ParallelNormalsError
 from .geom import (
-    Plane,
     Pnp,
     _angle,
     _arc_point_rows,
@@ -36,52 +34,14 @@ from .geom import (
     _slerp,
     _slerp_rows,
     get_tolerances,
-    z_dir,
 )
 
 __all__ = [
-    "AvgContext",
     "circle_avg_3d",
     "chord_point",
     "deviation_from_chord",
     "helix_trace",
 ]
-
-
-@dataclass(frozen=True)
-class AvgContext:
-    """Derived quantities of an averaging configuration.
-
-    ``z`` is the common normal of the two parallel working planes through
-    ``p0`` and ``p1``; ``hbar`` is the (nonnegative) distance between those
-    planes; ``pi0`` is the plane through ``p0``; ``theta`` is the angle
-    between the normals and ``phi`` the angle between ``n0 x n1`` and the
-    chord ``p0 -> p1``.
-    """
-
-    z: np.ndarray
-    hbar: float
-    pi0: Plane
-    theta: float
-    phi: float
-
-    @classmethod
-    def of(cls, P0: Pnp, P1: Pnp) -> "AvgContext":
-        n0 = (P0.normal[0], P0.normal[1], P0.normal[2])
-        n1 = (P1.normal[0], P1.normal[1], P1.normal[2])
-        theta = _angle(n0, n1)
-        if theta >= math.pi - get_tolerances().antipodal:
-            raise AntipodalNormalsError("averaging context undefined for antipodal normals")
-        z = z_dir(P0.normal, P1.normal)
-        chord = (
-            P1.point[0] - P0.point[0],
-            P1.point[1] - P0.point[1],
-            P1.point[2] - P0.point[2],
-        )
-        zt = (z[0], z[1], z[2])
-        hbar = abs(_dot(chord, zt))
-        phi = _angle(_cross(n0, n1), chord) if _norm(chord) > 0.0 else 0.0
-        return cls(z=z, hbar=hbar, pi0=Plane(P0.point, z), theta=theta, phi=phi)
 
 
 def circle_avg_3d(P0: Pnp, P1: Pnp, w: float) -> Pnp:
@@ -197,14 +157,21 @@ def deviation_from_chord(P0: Pnp, P1: Pnp, w: float) -> float:
     the ratio ``R`` exists only as a limit, and
     :class:`AntipodalNormalsError` for opposite normals.
     """
+    tol = get_tolerances()
     n0 = (P0.normal[0], P0.normal[1], P0.normal[2])
     n1 = (P1.normal[0], P1.normal[1], P1.normal[2])
-    if _angle(n0, n1) < get_tolerances().theta_linear:
+    theta = _angle(n0, n1)
+    if theta < tol.theta_linear:
         raise ParallelNormalsError("deviation is defined only as a limit for parallel normals")
-    ctx = AvgContext.of(P0, P1)
-    theta = ctx.theta
-    chord = P1.point - P0.point
-    g = math.sqrt(float(chord @ chord)) * math.sin(ctx.phi)
+    if theta >= math.pi - tol.antipodal:
+        raise AntipodalNormalsError("deviation undefined for antipodal normals")
+    chord = (
+        P1.point[0] - P0.point[0],
+        P1.point[1] - P0.point[1],
+        P1.point[2] - P0.point[2],
+    )
+    # phi, the angle between n0 x n1 and the chord, is 0 for a zero chord
+    g = _norm(chord) * math.sin(_angle(_cross(n0, n1), chord))
     r = math.sin(0.5 * w * theta) / math.sin(0.5 * theta)
     ssq = math.sin(0.25 * theta * (1.0 - w))
     dev2 = (w - r) ** 2 + 4.0 * w * r * ssq * ssq

@@ -7,8 +7,11 @@ Subcommands::
     pnpsubdiv metrics  --input m.obj [--json report.json] [--xi] [--arrays]
     pnpsubdiv morph    --input m.obj --nstar X,Y,Z --outdir DIR [--scheme lp]
                        [--steps 11] [--iters 4]
-    pnpsubdiv colorize --input m.obj --range LO:HI --output out.ply [--binary]
+    pnpsubdiv colorize --input m.obj --range=LO:HI --output out.ply [--binary]
     pnpsubdiv compare  --input m.obj --schemes lp,cc [--iters N] [--json out.json]
+
+Write ``--range=LO:HI`` with the equals sign: a negative ``LO`` as a
+separate word (``--range -1:1``) reads as an option and is a usage error.
 
 Exit codes: 0 success, 2 usage error, 3 file or parse error, 4 mesh
 topology error, 5 numeric degeneracy.
@@ -102,6 +105,8 @@ def cmd_morph(args) -> None:
         raise ValueError(f"--nstar must be three comma-separated numbers, got {args.nstar!r}") from None
     if not np.isfinite(nstar).all():
         raise ValueError(f"--nstar components must be finite, got {args.nstar!r}")
+    # an exact power-of-two rescale keeps the norm from overflowing or underflowing
+    nstar = np.ldexp(nstar, -np.frexp(np.abs(nstar).max())[1])
     norm = np.linalg.norm(nstar)
     if norm == 0.0:
         raise ValueError("--nstar must be nonzero")
@@ -202,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("colorize", help="write a PLY colored by curvature")
     p.add_argument("--input", required=True)
-    p.add_argument("--range", required=True, help="curvature range LO:HI")
+    p.add_argument("--range", required=True, help="curvature range, written --range=LO:HI")
     p.add_argument("--output", required=True)
     p.add_argument("--binary", action="store_true", help="binary little-endian PLY")
     p.set_defaults(func=cmd_colorize)

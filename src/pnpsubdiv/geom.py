@@ -36,7 +36,6 @@ from .errors import (
 __all__ = [
     "Tolerances",
     "get_tolerances",
-    "set_tolerances",
     "Pnp",
     "Plane",
     "angle_between",
@@ -48,36 +47,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric thresholds shared by the whole toolkit.
+    """The fixed numeric thresholds shared by the whole toolkit.
 
-    ``scale`` multiplies the absolute length thresholds (``coincident`` and
-    the point-to-plane part of ``carrier``); set it to the order of magnitude
-    of the mesh coordinates when working far from unit scale. Angle
-    thresholds are scale free and are never multiplied.
+    Every field is an angle or a ratio, never a length, so no check depends
+    on the scale of the coordinates and a refinement commutes with scaling.
     """
 
-    scale: float = 1.0
     unit_norm: float = 1e-9       # |norm - 1| allowed for unit vectors
     cross: float = 1e-12          # relative cross-product norm below which z_dir fails
     antipodal: float = 1e-9       # pi - angle below which normals count as opposite
     theta_linear: float = 1e-9    # normal angle below which averaging is linear
-    coincident: float = 1e-12     # chord length treated as a single point
-    carrier: float = 1e-9         # plane distance / out-of-plane normal tilt
+    coincident: float = 1e-12     # norm of a sum of unit wedge normals that counts as cancelled
+    carrier: float = 1e-9         # out-of-plane tilt of a point or normal off the carrier plane
 
 
-_active = Tolerances()
+_TOL = Tolerances()
 
 
 def get_tolerances() -> Tolerances:
-    return _active
-
-
-def set_tolerances(tol: Tolerances) -> None:
-    """Install ``tol`` as the process-wide tolerance configuration."""
-    global _active
-    if not isinstance(tol, Tolerances):
-        raise TypeError("expected a Tolerances instance")
-    _active = tol
+    """The toolkit's thresholds: one shared, immutable instance."""
+    return _TOL
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +104,7 @@ def _as_triple(v, what="vector"):
 
 def _check_unit(t, what):
     n = _norm(t)
-    if not math.isfinite(n) or abs(n - 1.0) > _active.unit_norm:
+    if not math.isfinite(n) or abs(n - 1.0) > _TOL.unit_norm:
         raise ValueError(f"{what} must be a unit vector (norm {n!r})")
 
 
@@ -159,7 +148,7 @@ def _invalid_pnp_rows(points, normals) -> np.ndarray:
     """
     n = np.sqrt(_dot(normals, normals))
     finite = np.isfinite(points[0]) & np.isfinite(points[1]) & np.isfinite(points[2])
-    return ~finite | ~np.isfinite(n) | (np.abs(n - 1.0) > _active.unit_norm)
+    return ~finite | ~np.isfinite(n) | (np.abs(n - 1.0) > _TOL.unit_norm)
 
 
 class Plane:
@@ -205,7 +194,7 @@ def z_dir(u, v) -> np.ndarray:
     vt = _as_triple(v, "v")
     c = _cross(ut, vt)
     cn = _norm(c)
-    if cn <= _active.cross * _norm(ut) * _norm(vt) or cn == 0.0:
+    if cn <= _TOL.cross * _norm(ut) * _norm(vt) or cn == 0.0:
         raise DegenerateCrossError("cross product direction undefined for (near-)parallel vectors")
     return np.array((c[0] / cn, c[1] / cn, c[2] / cn))
 
@@ -270,7 +259,7 @@ def geodesic_avg(n0, n1, w: float) -> np.ndarray:
     t0 = _as_triple(n0, "n0")
     t1 = _as_triple(n1, "n1")
     theta = _angle(t0, t1)
-    if theta >= math.pi - _active.antipodal:
+    if theta >= math.pi - _TOL.antipodal:
         raise AntipodalNormalsError("geodesic average undefined for antipodal normals")
     return np.array(_slerp(t0, t1, w, theta))
 
@@ -290,12 +279,16 @@ def _arc_point(p0, p1, w, theta, n0, n1, nz):
     to; it is what makes repeated averages of the same pair land on one
     common circle, and for pairs sampled from a circle with outward normals
     it reproduces that circle.
+
+    Only a chord of length exactly zero returns ``p0``: it is the one chord
+    without a direction, and both arc offsets scale with ``d``, so the
+    result tends to ``p0`` continuously as the chord shrinks, at any scale.
     """
     cx = p1[0] - p0[0]
     cy = p1[1] - p0[1]
     cz = p1[2] - p0[2]
     d = math.sqrt(cx * cx + cy * cy + cz * cz)
-    if d < _active.scale * _active.coincident:
+    if d == 0.0:
         return p0
     tx, ty, tz = cx / d, cy / d, cz / d
     # orientation carrying n0 to n1, as seen from the carrier normal
@@ -342,8 +335,7 @@ def _arc_point_rows(p0, p1, w, theta, orient, nz):
         0.5 * (p0[1] + p1[1]) + along_b * b[1] + along_t * t[1],
         0.5 * (p0[2] + p1[2]) + along_b * b[2] + along_t * t[2],
     )
-    coincident = d < _active.scale * _active.coincident
-    return tuple(np.where(coincident, start, arc) for start, arc in zip(p0, pt))
+    return tuple(np.where(d == 0.0, start, arc) for start, arc in zip(p0, pt))
 
 
 def _avg_in_plane(p0, n0, p1, n1, w, nz, theta):
@@ -354,7 +346,7 @@ def _avg_in_plane(p0, n0, p1, n1, w, nz, theta):
     between the normals, below the antipodal threshold.
     """
     nm = _slerp(n0, n1, w, theta)
-    if theta < _active.theta_linear:
+    if theta < _TOL.theta_linear:
         pt = (
             (1.0 - w) * p0[0] + w * p1[0],
             (1.0 - w) * p0[1] + w * p1[1],
@@ -375,19 +367,20 @@ def circle_avg_2d(P0: Pnp, P1: Pnp, w: float, carrier: Plane) -> Pnp:
     coincident points the point degenerates to the straight chord. Any real
     ``w`` is accepted; outside [0, 1] the same circle is extrapolated.
 
-    Raises :class:`NotInCarrierError` if either pair is not in the plane and
+    Raises :class:`NotInCarrierError` if a point or a normal tilts out of
+    the plane (the point as seen from the carrier origin) and
     :class:`AntipodalNormalsError` when ``theta`` is flat.
     """
-    tol = _active
     nz = (carrier.normal[0], carrier.normal[1], carrier.normal[2])
     org = (carrier.origin[0], carrier.origin[1], carrier.origin[2])
     pairs = ((P0.point, P0.normal, "P0"), (P1.point, P1.normal, "P1"))
     for pt, nm, label in pairs:
-        off = _dot((pt[0] - org[0], pt[1] - org[1], pt[2] - org[2]), nz)
-        if abs(off) > tol.scale * tol.carrier:
+        rel = (pt[0] - org[0], pt[1] - org[1], pt[2] - org[2])
+        off = _dot(rel, nz)
+        if abs(off) > _TOL.carrier * _norm(rel):
             raise NotInCarrierError(f"{label} point is {off:g} off the carrier plane")
         tilt = _dot((nm[0], nm[1], nm[2]), nz)
-        if abs(tilt) > tol.carrier:
+        if abs(tilt) > _TOL.carrier:
             raise NotInCarrierError(f"{label} normal tilts {tilt:g} out of the carrier plane")
 
     p0 = (P0.point[0], P0.point[1], P0.point[2])
@@ -395,7 +388,7 @@ def circle_avg_2d(P0: Pnp, P1: Pnp, w: float, carrier: Plane) -> Pnp:
     p1 = (P1.point[0], P1.point[1], P1.point[2])
     n1 = (P1.normal[0], P1.normal[1], P1.normal[2])
     theta = _angle(n0, n1)
-    if theta >= math.pi - tol.antipodal:
+    if theta >= math.pi - _TOL.antipodal:
         raise AntipodalNormalsError("circle average undefined for antipodal normals")
     if w == 0.0:
         return P0

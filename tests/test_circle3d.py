@@ -5,7 +5,6 @@ import pytest
 
 from meshes import random_pnp_pair, random_rotation, random_unit
 from pnpsubdiv import (
-    AvgContext,
     Plane,
     Pnp,
     angle_between,
@@ -291,6 +290,8 @@ def test_deviation_parallel_normals_raises():
     n = (0.0, 0.0, 1.0)
     with pytest.raises(ParallelNormalsError):
         deviation_from_chord(Pnp((0, 0, 0), n), Pnp((1, 0, 0), n), 0.5)
+    with pytest.raises(AntipodalNormalsError):
+        deviation_from_chord(Pnp((0, 0, 0), n), Pnp((1, 0, 0), (0.0, 0.0, -1.0)), 0.5)
 
 
 def test_deviation_monotone_in_theta_and_phi():
@@ -347,21 +348,36 @@ def test_helix_trace_needs_two_samples(rng):
 
 
 # ---------------------------------------------------------------------------
-# averaging context
+# scale: the averages commute with scaling the points
 # ---------------------------------------------------------------------------
 
-def test_avg_context_fields():
-    p0 = Pnp((1, 0, 0), (1, 0, 0))
-    p1 = Pnp((0, 1, math.pi / 2), (0, 1, 0))
-    ctx = AvgContext.of(p0, p1)
-    assert np.allclose(ctx.z, (0, 0, 1))
-    assert abs(ctx.hbar - math.pi / 2) < 1e-12
-    assert abs(ctx.theta - math.pi / 2) < 1e-12
-    assert np.allclose(ctx.pi0.origin, p0.point)
-    assert np.allclose(ctx.pi0.normal, ctx.z)
-    chord = p1.point - p0.point
-    assert abs(ctx.hbar - abs(float(chord @ ctx.z))) < 1e-15
-    assert 0.0 <= ctx.phi <= math.pi
+def _tilted_carrier_pairs(s):
+    """A tilted carrier through ``s * (0.3, -0.7, 1.1)`` and two pairs in it."""
+    nz = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
+    e1 = np.array([2.0, -1.0, 0.0]) / math.sqrt(5.0)
+    e2 = np.cross(nz, e1)
+    origin = s * np.array([0.3, -0.7, 1.1])
+
+    def pair(a, b, angle):
+        return Pnp(origin + s * (a * e1 + b * e2), math.cos(angle) * e1 + math.sin(angle) * e2)
+
+    return Plane(origin, nz), pair(0.2, -0.4, 0.3), pair(1.1, 0.5, 1.4)
+
+
+@pytest.mark.parametrize("s", [1e-14, 1e-12, 1e-10, 1e-6, 1e6, 1e8, 1e12])
+def test_averages_commute_with_scaling(s, rng):
+    carrier, p0, p1 = _tilted_carrier_pairs(1.0)
+    carrier_s, q0, q1 = _tilted_carrier_pairs(s)
+    g0, g1 = random_pnp_pair(rng)
+    h0, h1 = Pnp(s * g0.point, g0.normal), Pnp(s * g1.point, g1.normal)
+    for w in (-0.25, 0.3, 0.5, 1.25):
+        for want, got in (
+            (circle_avg_2d(p0, p1, w, carrier), circle_avg_2d(q0, q1, w, carrier_s)),
+            (circle_avg_3d(p0, p1, w), circle_avg_3d(q0, q1, w)),
+            (circle_avg_3d(g0, g1, w), circle_avg_3d(h0, h1, w)),
+        ):
+            assert np.abs(got.point - s * want.point).max() < 1e-12 * s
+            assert np.array_equal(got.normal, want.normal)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from meshes import tetrahedron, torus_tri
+from meshes import tetrahedron, torus_quad, torus_tri
 from pnpsubdiv import Mesh, cli, save_obj
 
 
@@ -62,3 +62,64 @@ def test_morph_rejects_a_non_finite_nstar(tmp_path, caplog, nstar):
         assert cli.main(argv) == cli.EXIT_USAGE
     assert caught == []
     assert f"--nstar components must be finite, got {nstar!r}" in caplog.text
+
+
+@pytest.fixture
+def cli_inputs(tmp_path):
+    """OBJ inputs for the exit-code table, by placeholder name."""
+    paths = {"out": tmp_path / "out"}
+    paths["out"].mkdir()
+    for name, mesh in (("tri", torus_tri(12, 6)), ("quad", torus_quad(12, 6))):
+        paths[name] = tmp_path / f"{name}.obj"
+        save_obj(mesh, paths[name])
+    # a corner of face [0, 3, 1] is collinear: vertex 3 sits on the edge 0-1
+    flat = Mesh([[0, 0, 0], [2, 0, 0], [0, 2, 0], [1, 0, 0]], tetrahedron().faces)
+    paths["collinear"] = tmp_path / "collinear.obj"
+    save_obj(flat, paths["collinear"])
+    records = {
+        "open": "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+        "mixed": "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nv 0 0 1\n"
+                 "f 1 4 3 2\nf 1 2 5\nf 2 3 5\nf 3 4 5\nf 4 1 5\n",
+        "bad_v": "v 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\nf 1 3 4\nf 1 4 2\nf 2 4 3\n",
+    }
+    for name, text in records.items():
+        paths[name] = tmp_path / f"{name}.obj"
+        paths[name].write_text(text)
+    return {name: str(path) for name, path in paths.items()}
+
+
+MORPH = "morph --input {tri} --outdir {out}/m --steps 2 --iters 1 --nstar"
+
+# (id, command with {placeholders} from cli_inputs, exit code)
+CLI_TABLE = [
+    ("refine", "refine --input {tri} --output {out}/r.obj --scheme lp --modified", cli.EXIT_OK),
+    ("normals", "normals --input {quad} --output {out}/n.obj", cli.EXIT_OK),
+    ("metrics", "metrics --input {tri} --json {out}/m.json", cli.EXIT_OK),
+    ("morph", f"{MORPH} 0,0,1", cli.EXIT_OK),
+    # the norm of these --nstar values overflows or underflows unless rescaled first
+    ("morph-huge-nstar", f"{MORPH} 1e308,1e308,0", cli.EXIT_OK),
+    ("morph-tiny-nstar", f"{MORPH} 0,0,1e-200", cli.EXIT_OK),
+    ("colorize", "colorize --input {tri} --range=-1:1 --output {out}/c.ply", cli.EXIT_OK),
+    ("compare", "compare --input {quad} --schemes cc,k4 --iters 1 --json {out}/c.json", cli.EXIT_OK),
+    ("iters-negative", "refine --input {tri} --output {out}/r.obj --scheme lp --iters -1",
+     cli.EXIT_USAGE),
+    ("unknown-scheme", "compare --input {tri} --schemes zz", cli.EXIT_USAGE),
+    ("one-morph-step", "morph --input {tri} --outdir {out}/m --nstar 0,0,1 --steps 1", cli.EXIT_USAGE),
+    ("missing-input", "metrics --input {out}/missing.obj", cli.EXIT_PARSE),
+    ("bad-v-record", "normals --input {bad_v} --output {out}/n.obj", cli.EXIT_PARSE),
+    ("cc-on-triangles", "refine --input {tri} --output {out}/r.obj --scheme cc", cli.EXIT_TOPOLOGY),
+    ("open-mesh", "normals --input {open} --output {out}/n.obj", cli.EXIT_TOPOLOGY),
+    ("mixed-arity", "normals --input {mixed} --output {out}/n.obj", cli.EXIT_TOPOLOGY),
+    ("collinear-corner", "normals --input {collinear} --output {out}/n.obj", cli.EXIT_NUMERIC),
+]
+
+
+@pytest.mark.parametrize(
+    "command,code", [row[1:] for row in CLI_TABLE], ids=[row[0] for row in CLI_TABLE]
+)
+def test_cli_exit_codes(cli_inputs, command, code):
+    argv = [word.format(**cli_inputs) for word in command.split()]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == code
+    assert caught == []

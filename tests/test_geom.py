@@ -7,12 +7,9 @@ from meshes import random_rotation, random_unit
 from pnpsubdiv import (
     Plane,
     Pnp,
-    Tolerances,
     angle_between,
     circle_avg_2d,
     geodesic_avg,
-    get_tolerances,
-    set_tolerances,
     z_dir,
 )
 from pnpsubdiv.errors import (
@@ -62,16 +59,6 @@ def test_pnp_is_immutable():
 def test_plane_requires_unit_normal():
     with pytest.raises(ValueError):
         Plane((0, 0, 0), (1, 1, 0))
-
-
-def test_tolerances_roundtrip():
-    default = get_tolerances()
-    try:
-        scaled = Tolerances(scale=1e3)
-        set_tolerances(scaled)
-        assert get_tolerances() is scaled
-    finally:
-        set_tolerances(default)
 
 
 # ---------------------------------------------------------------------------

@@ -318,9 +318,10 @@ def test_interpolatory_modified_fixes_original_pnps(base):
     assert np.abs(out.normals[:n] - m.normals).max() < 1e-12
 
 
-def test_modified_rigid_equivariance(rng):
-    m = with_outward_unit_normals(tri_sphere(0))
-    scheme = SchemeKind("lp", modified=True)
+@pytest.mark.parametrize("base", ALL_BASES)
+def test_modified_rigid_equivariance(base, rng):
+    m = with_outward_unit_normals(quad_sphere(1) if base in ("cc", "k4") else tri_sphere(0))
+    scheme = SchemeKind(base, modified=True)
     base_out = refine_once(m, scheme)
     rot = random_rotation(rng)
     shift = rng.normal(size=3)
@@ -328,6 +329,19 @@ def test_modified_rigid_equivariance(rng):
     moved_out = refine_once(moved, scheme)
     assert np.abs(moved_out.vertices - (base_out.vertices @ rot.T + shift)).max() < 1e-9
     assert np.abs(moved_out.normals - base_out.normals @ rot.T).max() < 1e-9
+
+
+@pytest.mark.parametrize("s", [1e-14, 1e-12, 1e-10, 1e-6, 1e6, 1e12])
+@pytest.mark.parametrize("base", ALL_BASES)
+def test_modified_refine_commutes_with_scaling(base, s):
+    m = (torus_quad if base in ("cc", "k4") else torus_tri)(12, 6)
+    m = m.with_normals(naive_normals(m))
+    scheme = SchemeKind(base, modified=True)
+    unit = refine(m, scheme, 2)
+    scaled = refine(Mesh(s * m.vertices, m.faces, normals=m.normals), scheme, 2)
+    diag = np.linalg.norm(np.ptp(unit.vertices, axis=0))
+    assert np.abs(scaled.vertices - s * unit.vertices).max() < 1e-12 * s * diag
+    assert np.abs(scaled.normals - unit.normals).max() < 1e-12
 
 
 def test_modified_deterministic():
