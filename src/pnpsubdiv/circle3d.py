@@ -25,6 +25,7 @@ from .errors import AntipodalNormalsError, ParallelNormalsError
 from .geom import (
     Pnp,
     _angle,
+    _angle_rows,
     _arc_point_rows,
     _avg_in_plane,
     _cross,
@@ -93,11 +94,14 @@ def _circle_avg_rows(p0, n0, p1, n1, w):
 
     ``p0, n0, p1, n1`` are ``(3, m)`` arrays of components and ``w`` has
     shape ``(m,)``. Returns the averaged points and normals as ``(3, m)``
-    arrays and the mask of rows on which :func:`circle_avg_3d` raises:
-    antipodal normals, or a result that :class:`Pnp` rejects. Every other
-    row equals the scalar result bit for bit: the arithmetic repeats the
-    scalar operations in the same order, and the scalar branches (endpoint
-    weights, linear limit, helix) become masks.
+    arrays and two masks of the rows on which :func:`circle_avg_3d` raises:
+    the rows with antipodal normals, where it raises
+    :class:`AntipodalNormalsError`, and the rows whose result :class:`Pnp`
+    rejects. The scalar function checks the normals first, so a row in both
+    masks raises the antipodal error. Every other row equals the scalar
+    result bit for bit: the arithmetic repeats the scalar operations in the
+    same order, and the scalar branches (endpoint weights, linear limit,
+    helix) become masks.
     """
     tol = get_tolerances()
     # every branch runs on every row, and the rows a branch is not taken on
@@ -105,9 +109,8 @@ def _circle_avg_rows(p0, n0, p1, n1, w):
     with np.errstate(all="ignore"):
         c = _cross(n0, n1)
         cn = np.sqrt(_dot(c, c))
-        # math.atan2, not np.arctan2: numpy's SIMD atan2 can differ in the last bit
-        theta = np.fromiter(map(math.atan2, cn.tolist(), _dot(n0, n1).tolist()), float, len(w))
-        failed = theta >= math.pi - tol.antipodal
+        theta = _angle_rows(cn, _dot(n0, n1))
+        antipodal = theta >= math.pi - tol.antipodal
 
         nm = _slerp_rows(n0, n1, w, theta)
         linear = (
@@ -126,8 +129,8 @@ def _circle_avg_rows(p0, n0, p1, n1, w):
         start, end = w == 0.0, w == 1.0
         pt = np.where(start, p0, np.where(end, p1, pt))
         nm = np.where(start, n0, np.where(end, n1, nm))
-        failed |= _invalid_pnp_rows(pt, nm)
-    return pt, nm, failed
+        invalid = _invalid_pnp_rows(pt, nm)
+    return pt, nm, antipodal, invalid
 
 
 def chord_point(p0, p1, w: float) -> np.ndarray:

@@ -13,6 +13,14 @@ Subcommands::
 Write ``--range=LO:HI`` with the equals sign: a negative ``LO`` as a
 separate word (``--range -1:1``) reads as an option and is a usage error.
 
+``morph`` refines the input once per step ``i`` of ``--steps``, with the
+normals ``geodesic_avg(nstar, naive normal, mu)`` at ``mu = i / (steps - 1)``.
+The first step uses ``nstar`` at every vertex and the last the naive
+normals, exactly, so these two always succeed. The steps in between are
+undefined where ``nstar`` is opposite a naive normal: with more than two
+steps that is a numeric degeneracy naming the lowest such vertex and step
+1, raised before any file is written.
+
 Exit codes: 0 success, 2 usage error, 3 file or parse error, 4 mesh
 topology error, 5 numeric degeneracy.
 
@@ -27,19 +35,21 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
 import numpy as np
 
 from .errors import (
+    AntipodalNormalsError,
     MeshParseError,
     MissingNormalsError,
     NumericDegeneracyError,
     TopologyError,
 )
-from .geom import geodesic_avg
-from .mesh import Mesh, load_obj, naive_normals, save_obj, save_ply
+from .geom import _angle_rows, _cross, _dot, _slerp_rows, get_tolerances
+from .mesh import Mesh, _atomic_write, load_obj, naive_normals, save_obj, save_ply
 from .metrics import curvature, curvature_colors, measure, normal_deviation
 from .schemes import SchemeKind, refine
 
@@ -64,10 +74,7 @@ def _write_json(path, payload) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    _atomic_write(path, text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -116,22 +123,33 @@ def cmd_morph(args) -> None:
 
     scheme = SchemeKind(args.scheme, modified=True)
     target = naive_normals(mesh)
+    ends = tuple(target.T)
+    cross = _cross(nstar, ends)
+    theta = _angle_rows(np.sqrt(_dot(cross, cross)), _dot(nstar, ends))
+    antipodal = np.flatnonzero(theta >= math.pi - get_tolerances().antipodal)
+    if args.steps > 2 and len(antipodal):
+        raise AntipodalNormalsError(
+            f"geodesic average undefined for antipodal normals: --nstar is opposite the naive "
+            f"normal of vertex {antipodal[0]}, so morph step 1 (mu={1 / (args.steps - 1):.6g}) "
+            "has no blend"
+        )
     os.makedirs(args.outdir, exist_ok=True)
     rows = ["mu,xi_deg"]
     for i in range(args.steps):
         mu = i / (args.steps - 1)
-        blended = np.array([geodesic_avg(nstar, target[j], mu) for j in range(len(target))])
+        if i == 0:
+            blended = np.tile(nstar, (len(target), 1))
+        elif i == args.steps - 1:
+            blended = target
+        else:
+            blended = np.stack(_slerp_rows(nstar, ends, mu, theta), axis=1)
         refined = refine(mesh.with_normals(blended), scheme, args.iters)
         out_path = os.path.join(args.outdir, f"morph_{i:03d}.obj")
         save_obj(refined, out_path)
         xi = normal_deviation(refined)
         rows.append(f"{mu:.6g},{xi:.6g}")
         log.info("step %d (mu=%.2f): xi=%.2f deg -> %s", i, mu, xi, out_path)
-    csv_path = os.path.join(args.outdir, "xi.csv")
-    tmp = f"{csv_path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
-    os.replace(tmp, csv_path)
+    _atomic_write(os.path.join(args.outdir, "xi.csv"), ("\n".join(rows) + "\n").encode("utf-8"))
 
 
 def cmd_colorize(args) -> None:

@@ -199,6 +199,15 @@ def z_dir(u, v) -> np.ndarray:
     return np.array((c[0] / cn, c[1] / cn, c[2] / cn))
 
 
+def _angle_rows(cross_norm, dot):
+    """:func:`_angle` over rows, from the norms of ``a x b`` and the dots ``a . b``.
+
+    Each row equals the scalar result bit for bit: it is ``math.atan2``, not
+    ``np.arctan2``, whose SIMD loop can differ in the last bit.
+    """
+    return np.fromiter(map(math.atan2, cross_norm.tolist(), dot.tolist()), float, len(cross_norm))
+
+
 def _slerp(n0, n1, w, theta):
     """Rotate ``n0`` by ``w * theta`` toward ``n1`` in their common plane.
 
@@ -232,8 +241,9 @@ def _slerp_rows(n0, n1, w, theta):
     arrays of the same length. Each row equals the scalar result bit for bit.
     """
     s = np.sin(theta)
-    a = np.sin((1.0 - w) * theta) / s
-    b = np.sin(w * theta) / s
+    with np.errstate(divide="ignore", invalid="ignore"):  # s = 0 on rows taking the tiny branch
+        a = np.sin((1.0 - w) * theta) / s
+        b = np.sin(w * theta) / s
     # parallel normals: the scalar code's (1 - w) * n0 + w * n1
     tiny = theta < 1e-12
     a = np.where(tiny, 1.0 - w, a)

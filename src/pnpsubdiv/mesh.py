@@ -254,16 +254,32 @@ class Mesh:
 # naive normals
 # ---------------------------------------------------------------------------
 
+def _unit_scaled(vertices: np.ndarray) -> tuple[np.ndarray, int]:
+    """``vertices`` times ``2**-e`` and ``e``, with the largest |coordinate| scaled into [0.5, 1).
+
+    A power-of-two scaling is exact, so ratios and angles computed from the
+    scaled coordinates are the same floats, while products of coordinates
+    no longer overflow or underflow at extreme scales.
+    """
+    e = int(np.frexp(np.abs(vertices).max(initial=0.0))[1])
+    return np.ldexp(vertices, -e), e
+
+
 def _corner_wedges(mesh: Mesh):
     """Per corner: the cross product of the edges to the next and the previous
-    corner, its norm, the product of the two edge lengths, and the wedge angle."""
-    verts = mesh.vertices
+    corner, its norm, the product of the two edge lengths, and the wedge angle.
+
+    Lengths are in units of ``2**e`` for the returned ``e`` (see
+    :func:`_unit_scaled`); the angles do not depend on it.
+    """
+    verts, scale = _unit_scaled(mesh.vertices)
     e = (verts[np.roll(mesh.faces, -1, axis=1)] - verts[mesh.faces]).reshape(-1, 3)
     e_next = (verts[np.roll(mesh.faces, 1, axis=1)] - verts[mesh.faces]).reshape(-1, 3)
     cross = np.cross(e, e_next)
     cross_norms = np.linalg.norm(cross, axis=1)
     extent = np.linalg.norm(e, axis=1) * np.linalg.norm(e_next, axis=1)
-    return cross, cross_norms, extent, np.arctan2(cross_norms, np.einsum("ij,ij->i", e, e_next))
+    gammas = np.arctan2(cross_norms, np.einsum("ij,ij->i", e, e_next))
+    return cross, cross_norms, extent, gammas, scale
 
 
 def naive_normals(mesh: Mesh) -> np.ndarray:
@@ -279,7 +295,7 @@ def naive_normals(mesh: Mesh) -> np.ndarray:
     tol = get_tolerances()
     n = mesh.vertex_count
     corner = mesh.origin
-    cross, cross_norms, extent, gammas = _corner_wedges(mesh)
+    cross, cross_norms, extent, gammas, _ = _corner_wedges(mesh)
     collinear = cross_norms <= tol.cross * extent
     weights = gammas / np.bincount(corner, gammas, n)[corner]
     with np.errstate(divide="ignore", invalid="ignore"):

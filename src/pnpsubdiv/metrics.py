@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DegenerateFaceError, MissingNormalsError, ZeroAreaError
 from .geom import get_tolerances
-from .mesh import Mesh, _corner_wedges, naive_normals
+from .mesh import Mesh, _corner_wedges, _unit_scaled, naive_normals
 
 __all__ = [
     "MetricsReport",
@@ -63,7 +63,7 @@ def dihedral_angles(mesh: Mesh) -> np.ndarray:
     of both incident faces, cross each of those directions with the edge
     direction, and take the angle between the two results.
     """
-    verts = mesh.vertices
+    verts, _ = _unit_scaled(mesh.vertices)
     faces = mesh.faces
     if mesh.arity == 3:
         fnorm = _unit_cross(
@@ -94,12 +94,13 @@ def curvature(mesh: Mesh) -> np.ndarray:
     """
     n = mesh.vertex_count
     corner = mesh.origin
-    _, cross_norms, extent, gammas = _corner_wedges(mesh)
+    _, cross_norms, extent, gammas, scale = _corner_wedges(mesh)
     doubled = np.bincount(corner, cross_norms, n)
     flat = np.flatnonzero(doubled <= get_tolerances().cross * np.bincount(corner, extent, n))
     if len(flat):
         raise ZeroAreaError(f"vanishing cell area at vertex {flat[0]}")
-    return (2.0 * math.pi - np.bincount(corner, gammas, n)) / (doubled / 6.0)
+    # the areas are in units of 4**scale
+    return np.ldexp((2.0 * math.pi - np.bincount(corner, gammas, n)) / (doubled / 6.0), -2 * scale)
 
 
 def zeta(mesh: Mesh, curvatures: Optional[np.ndarray] = None) -> np.ndarray:

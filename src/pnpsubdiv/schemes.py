@@ -13,6 +13,10 @@ refined face list. The same table drives both modes:
   is one array evaluation of the circle average, with the same floats as
   the scalar reference, which folds each row's
   :class:`~pnpsubdiv.stencil.Stencil` with :func:`~pnpsubdiv.circle3d.circle_avg_3d`.
+  The array evaluation also flags the rows the scalar average rejects, so
+  a failing level raises the scalar reference's error, naming the output
+  vertex, the fold step, its input vertex and the cause, without running
+  the scalar reference.
 
 Catalog (quad schemes require quad meshes, triangle schemes triangle
 meshes):
@@ -43,11 +47,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle3d import _circle_avg_rows, circle_avg_3d
+from .circle3d import _circle_avg_rows
 from .errors import AntipodalNormalsError, ArityMismatchError, MissingNormalsError
 from .geom import Pnp, _invalid_pnp_rows
 from .mesh import Mesh, naive_normals
-from .stencil import Stencil, StencilTable, compile_plan, compile_table, evaluate_plan
+from .stencil import PlanTable, Stencil, StencilTable, compile_table
 
 __all__ = ["SchemeKind", "RefinementStep", "refinement_step", "refine_once", "refine"]
 
@@ -241,26 +245,13 @@ def refinement_step(mesh: Mesh, base: str) -> RefinementStep:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _average_one(mesh: Mesh, table: StencilTable, i: int) -> Pnp:
-    """Output vertex ``i`` by the scalar path: its plan folded with :func:`circle_avg_3d`."""
-    st = table.stencil(i)
-    pnps = {j: Pnp(mesh.vertices[j], mesh.normals[j]) for j, _ in st.terms}
-    try:
-        return evaluate_plan(compile_plan(st), pnps, circle_avg_3d)
-    except AntipodalNormalsError as exc:
-        raise AntipodalNormalsError(
-            f"antipodal normals while averaging output vertex {i} "
-            f"(stencil over {[t[0] for t in st.terms]}): {exc}"
-        ) from exc
-
-
 def _circle_fold(mesh: Mesh, table: StencilTable) -> tuple[np.ndarray, np.ndarray]:
     """Points and normals of every row of ``table``, folded with the circle average.
 
-    Step ``k`` of every plan is one call of the row-wise circle average.
-    When rows fail, the lowest-numbered output vertex among them is
-    evaluated again by the scalar path, which raises the error the scalar
-    path would have raised first.
+    Step ``k`` of every plan is one call of the row-wise circle average,
+    whose masks give the fold step each plan first fails on and why. When
+    plans fail, the error is the one the scalar path raises first: that of
+    the lowest-numbered output vertex among them (see :func:`_raise_fold_error`).
     """
     points = np.ascontiguousarray(mesh.vertices.T)
     normals = np.ascontiguousarray(mesh.normals.T)
@@ -270,22 +261,56 @@ def _circle_fold(mesh: Mesh, table: StencilTable) -> tuple[np.ndarray, np.ndarra
     plans = compile_table(table)
     pts = points[:, plans.first]
     nms = normals[:, plans.first]
-    failed = np.zeros(len(table), dtype=bool)
-    for index, w in plans.steps:
+    failed_at = np.zeros(len(table), dtype=np.int64)  # fold step of each plan's first failure
+    failures = {}  # fold step -> positions first failing there, their antipodal mask and results
+    for k, (index, w) in enumerate(plans.steps, start=1):
         m = len(index)
-        pts[:, :m], nms[:, :m], step_failed = _circle_avg_rows(
+        pts[:, :m], nms[:, :m], antipodal, invalid = _circle_avg_rows(
             pts[:, :m], nms[:, :m], points[:, index], normals[:, index], w
         )
-        failed[:m] |= step_failed
-    if failed.any():
-        i = int(plans.rows[failed].min())
-        _average_one(mesh, table, i)
-        raise AssertionError(f"output vertex {i} failed the fold but not the scalar average")
+        new = np.flatnonzero((antipodal | invalid) & (failed_at[:m] == 0))
+        if len(new):
+            failed_at[new] = k
+            failures[k] = (new, antipodal[new], pts[:, new], nms[:, new])
+    if failures:
+        _raise_fold_error(table, plans, failed_at, failures)
     out_points = np.empty((len(table), 3))
     out_normals = np.empty((len(table), 3))
     out_points[plans.rows] = pts.T
     out_normals[plans.rows] = nms.T
     return out_points, out_normals
+
+
+def _raise_fold_error(
+    table: StencilTable, plans: PlanTable, failed_at: np.ndarray, failures: dict
+) -> None:
+    """Raise the error of the lowest-numbered output vertex whose plan failed.
+
+    The scalar path folds the output vertices in order and stops at the
+    first error, and its steps equal the fold's bit for bit, so it fails
+    first on this vertex, at the same step and for the same cause. The
+    message starts as the scalar path's does and then names the fold step,
+    the input vertex averaged in at that step and the cause.
+    """
+    failed = np.flatnonzero(failed_at)
+    r = failed[np.argmin(plans.rows[failed])]
+    i, k = int(plans.rows[r]), int(failed_at[r])
+    positions, antipodal, pts, nms = failures[k]
+    at = int(np.searchsorted(positions, r))
+    terms = table.index[table.indptr[i] : table.indptr[i + 1]].tolist()
+    where = f"while averaging output vertex {i} (stencil over {terms})"
+    step = f"fold step {k} averages in input vertex {int(plans.steps[k - 1][0][r])}"
+    if antipodal[at]:
+        raise AntipodalNormalsError(
+            f"antipodal normals {where}: circle average undefined for antipodal normals; "
+            f"{step}: its normal is opposite the running normal"
+        )
+    try:
+        Pnp(pts[:, at], nms[:, at])  # the invalid mask holds the constructor's checks
+    except ValueError as exc:
+        raise ValueError(
+            f"{exc} {where}; {step}: the average is not a finite point with a unit normal"
+        ) from exc
 
 
 def refine_once(mesh: Mesh, scheme: SchemeKind) -> Mesh:

@@ -400,8 +400,8 @@ def _rows_vs_scalar(pairs, weights):
 
 
 def _assert_rows_equal(got, want):
-    pt, nm, failed = got
-    assert not failed.any()
+    pt, nm, antipodal, invalid = got
+    assert not (antipodal | invalid).any()
     assert np.array_equal(pt.T, np.array([r.point for r in want]))
     assert np.array_equal(nm.T, np.array([r.normal for r in want]))
 
@@ -459,5 +459,6 @@ def test_rows_flag_exactly_the_pairs_the_scalar_average_rejects():
         else:
             rejected.append(False)
     assert rejected == [True, False, True, True]
-    _, _, failed = _rows(pairs, weights)
-    assert failed.tolist() == rejected
+    _, _, antipodal, invalid = _rows(pairs, weights)
+    assert antipodal.tolist() == [True, False, False, True]
+    assert (antipodal | invalid).tolist() == rejected

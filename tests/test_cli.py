@@ -1,10 +1,11 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from meshes import tetrahedron, torus_quad, torus_tri
-from pnpsubdiv import Mesh, cli, save_obj
+from pnpsubdiv import Mesh, cli, geodesic_avg, load_obj, naive_normals, save_obj
 
 
 def _files(directory):
@@ -89,37 +90,83 @@ def cli_inputs(tmp_path):
 
 
 MORPH = "morph --input {tri} --outdir {out}/m --steps 2 --iters 1 --nstar"
+MORPHED = ["m/morph_000.obj", "m/morph_001.obj", "m/xi.csv"]
 
-# (id, command with {placeholders} from cli_inputs, exit code)
+# (id, command with {placeholders} from cli_inputs, exit code, files written under {out})
 CLI_TABLE = [
-    ("refine", "refine --input {tri} --output {out}/r.obj --scheme lp --modified", cli.EXIT_OK),
-    ("normals", "normals --input {quad} --output {out}/n.obj", cli.EXIT_OK),
-    ("metrics", "metrics --input {tri} --json {out}/m.json", cli.EXIT_OK),
-    ("morph", f"{MORPH} 0,0,1", cli.EXIT_OK),
+    ("refine", "refine --input {tri} --output {out}/r.obj --scheme lp --modified", cli.EXIT_OK,
+     ["r.obj"]),
+    ("normals", "normals --input {quad} --output {out}/n.obj", cli.EXIT_OK, ["n.obj"]),
+    ("metrics", "metrics --input {tri} --json {out}/m.json", cli.EXIT_OK, ["m.json"]),
+    ("morph", f"{MORPH} 0,0,1", cli.EXIT_OK, MORPHED),
     # the norm of these --nstar values overflows or underflows unless rescaled first
-    ("morph-huge-nstar", f"{MORPH} 1e308,1e308,0", cli.EXIT_OK),
-    ("morph-tiny-nstar", f"{MORPH} 0,0,1e-200", cli.EXIT_OK),
-    ("colorize", "colorize --input {tri} --range=-1:1 --output {out}/c.ply", cli.EXIT_OK),
-    ("compare", "compare --input {quad} --schemes cc,k4 --iters 1 --json {out}/c.json", cli.EXIT_OK),
+    ("morph-huge-nstar", f"{MORPH} 1e308,1e308,0", cli.EXIT_OK, MORPHED),
+    ("morph-tiny-nstar", f"{MORPH} 0,0,1e-200", cli.EXIT_OK, MORPHED),
+    # --nstar is opposite the naive normal of vertex 3: the two end steps need no blend
+    ("morph-antipodal-nstar", f"{MORPH} 1,0,0", cli.EXIT_OK, MORPHED),
+    ("morph-antipodal-nstar-3-steps", f"{MORPH} 1,0,0 --steps 3", cli.EXIT_NUMERIC, []),
+    ("colorize", "colorize --input {tri} --range=-1:1 --output {out}/c.ply", cli.EXIT_OK,
+     ["c.ply"]),
+    ("compare", "compare --input {quad} --schemes cc,k4 --iters 1 --json {out}/c.json", cli.EXIT_OK,
+     ["c.json"]),
     ("iters-negative", "refine --input {tri} --output {out}/r.obj --scheme lp --iters -1",
-     cli.EXIT_USAGE),
-    ("unknown-scheme", "compare --input {tri} --schemes zz", cli.EXIT_USAGE),
-    ("one-morph-step", "morph --input {tri} --outdir {out}/m --nstar 0,0,1 --steps 1", cli.EXIT_USAGE),
-    ("missing-input", "metrics --input {out}/missing.obj", cli.EXIT_PARSE),
-    ("bad-v-record", "normals --input {bad_v} --output {out}/n.obj", cli.EXIT_PARSE),
-    ("cc-on-triangles", "refine --input {tri} --output {out}/r.obj --scheme cc", cli.EXIT_TOPOLOGY),
-    ("open-mesh", "normals --input {open} --output {out}/n.obj", cli.EXIT_TOPOLOGY),
-    ("mixed-arity", "normals --input {mixed} --output {out}/n.obj", cli.EXIT_TOPOLOGY),
-    ("collinear-corner", "normals --input {collinear} --output {out}/n.obj", cli.EXIT_NUMERIC),
+     cli.EXIT_USAGE, []),
+    ("unknown-scheme", "compare --input {tri} --schemes zz", cli.EXIT_USAGE, []),
+    ("one-morph-step", "morph --input {tri} --outdir {out}/m --nstar 0,0,1 --steps 1",
+     cli.EXIT_USAGE, []),
+    ("missing-input", "metrics --input {out}/missing.obj", cli.EXIT_PARSE, []),
+    ("bad-v-record", "normals --input {bad_v} --output {out}/n.obj", cli.EXIT_PARSE, []),
+    ("cc-on-triangles", "refine --input {tri} --output {out}/r.obj --scheme cc", cli.EXIT_TOPOLOGY,
+     []),
+    ("open-mesh", "normals --input {open} --output {out}/n.obj", cli.EXIT_TOPOLOGY, []),
+    ("mixed-arity", "normals --input {mixed} --output {out}/n.obj", cli.EXIT_TOPOLOGY, []),
+    ("collinear-corner", "normals --input {collinear} --output {out}/n.obj", cli.EXIT_NUMERIC, []),
 ]
 
 
 @pytest.mark.parametrize(
-    "command,code", [row[1:] for row in CLI_TABLE], ids=[row[0] for row in CLI_TABLE]
+    "command,code,written", [row[1:] for row in CLI_TABLE], ids=[row[0] for row in CLI_TABLE]
 )
-def test_cli_exit_codes(cli_inputs, command, code):
+def test_cli_exit_codes(cli_inputs, command, code, written):
     argv = [word.format(**cli_inputs) for word in command.split()]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert cli.main(argv) == code
     assert caught == []
+    out = Path(cli_inputs["out"])
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()) == written
+
+
+def test_morph_names_the_vertex_and_step_of_an_antipodal_blend(cli_inputs, caplog):
+    argv = f"{MORPH} 1,0,0 --steps 3".format(**cli_inputs).split()
+    assert cli.main(argv) == cli.EXIT_NUMERIC
+    assert "naive normal of vertex 3, so morph step 1 (mu=0.5)" in caplog.text
+
+
+@pytest.mark.parametrize("steps", [4, 5, 11])  # mu in {1/3, 2/3}, {1/4, 1/2, 3/4}, {0.1, ..., 0.9}
+def test_morph_blends_equal_the_per_vertex_geodesic_average(tmp_path, monkeypatch, rng, steps):
+    """Each step's normals are geodesic_avg(nstar, naive normal, mu), bit for bit; the ends exactly."""
+    src = tmp_path / "torus.obj"
+    save_obj(torus_tri(12, 6), src)
+    mesh = load_obj(src)
+    target = naive_normals(mesh)
+    seen = []
+
+    def record(blended, scheme, iters):
+        seen.append(blended.normals)
+        return blended
+
+    monkeypatch.setattr(cli, "refine", record)
+    # random directions, and one naive normal itself: theta = 0 on its vertex
+    for nstar in [rng.normal(size=3) for _ in range(3)] + [target[5]]:
+        seen.clear()
+        argv = ["morph", "--input", str(src), "--nstar=" + ",".join(repr(float(x)) for x in nstar),
+                "--outdir", str(tmp_path / "out"), "--steps", str(steps)]
+        assert cli.main(argv) == cli.EXIT_OK
+        unit = seen[0][0]
+        assert np.allclose(unit, nstar / np.linalg.norm(nstar), rtol=0.0, atol=1e-15)
+        assert np.array_equal(seen[0], np.tile(unit, (len(target), 1)))
+        assert np.array_equal(seen[-1], target)
+        for i, normals in enumerate(seen[1:-1], start=1):
+            want = [geodesic_avg(unit, t, i / (steps - 1)) for t in target]
+            assert np.array_equal(normals, mesh.with_normals(want).normals)

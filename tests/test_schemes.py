@@ -458,7 +458,8 @@ def test_antipodal_error_names_output_vertex_and_stencil():
         refine_once(tetrahedron().with_normals(normals), SchemeKind("lp", modified=True))
     assert str(err.value) == (
         "antipodal normals while averaging output vertex 0 (stencil over [0, 1, 2, 3]): "
-        "circle average undefined for antipodal normals"
+        "circle average undefined for antipodal normals; "
+        "fold step 1 averages in input vertex 1: its normal is opposite the running normal"
     )
 
 
@@ -474,6 +475,75 @@ def test_fold_reports_the_lowest_failing_output_vertex():
     ])
     with pytest.raises(AntipodalNormalsError, match="output vertex 0 "):
         _circle_fold(mesh, table)
+
+
+def _antipodal_at_face(base, face):
+    """The scheme's test torus with naive normals, flipped at the second corner of ``face``."""
+    mesh = torus_quad(12, 6) if base in ("cc", "k4") else torus_tri(12, 6)
+    normals = naive_normals(mesh)
+    a, b = mesh.faces[face, :2]
+    normals[b] = -normals[a]
+    return mesh.with_normals(normals)
+
+
+def _huge(mesh_fn):
+    """A mesh at the float limit with its unit-scale naive normals: fold chords overflow."""
+    m = mesh_fn()
+    return Mesh(m.vertices * 1e308, m.faces, normals=naive_normals(m))
+
+
+DEGENERATE = (
+    [(f"{base}-antipodal-face-{face}", base, lambda b=base, f=face: _antipodal_at_face(b, f))
+     for base in ALL_BASES for face in (0, -1)]
+    + [("lp-huge-tetrahedron", "lp", lambda: _huge(tetrahedron)),
+       ("by-huge-tetrahedron", "by", lambda: _huge(tetrahedron)),
+       ("cc-huge-cube", "cc", lambda: _huge(cube)),
+       ("k4-huge-cube", "k4", lambda: _huge(cube))]
+)
+
+
+def _scalar_error(mesh, base):
+    """The first error of the scalar path: the exception, its message as ``refine_once``
+    words it, the output vertex, the fold step and the input vertex of that step.
+
+    The scalar path folds each output vertex's plan with :func:`circle_avg_3d`
+    in vertex order and stops at the first error.
+    """
+    pnps = [Pnp(mesh.vertices[i], mesh.normals[i]) for i in range(mesh.vertex_count)]
+    for i, st in enumerate(refinement_step(mesh, base).stencils):
+        plan = compile_plan(st)
+        folded = []  # the input vertex of every fold step begun
+
+        def counted(a, b, w):
+            folded.append(plan.steps[len(folded)][0])
+            return circle_avg_3d(a, b, w)
+
+        try:
+            evaluate_plan(plan, pnps, counted)
+        except AntipodalNormalsError as exc:
+            where = f"output vertex {i} (stencil over {[t[0] for t in st.terms]})"
+            message = f"antipodal normals while averaging {where}: {exc}"
+            return exc, message, i, len(folded), folded[-1]
+        except ValueError as exc:
+            return exc, str(exc), i, len(folded), folded[-1]
+    raise AssertionError("the scalar path does not fail")
+
+
+@pytest.mark.parametrize(
+    "base, make", [row[1:] for row in DEGENERATE], ids=[row[0] for row in DEGENERATE]
+)
+def test_fold_errors_extend_the_scalar_error(base, make):
+    """Same class as the scalar path; its message, then the output vertex, fold step and input."""
+    mesh = make()
+    with np.errstate(all="ignore"):  # the scalar path's numpy floats warn where chords overflow
+        want, message, output, step, vertex = _scalar_error(mesh, base)
+    with pytest.raises((AntipodalNormalsError, ValueError)) as err:
+        refine_once(mesh, SchemeKind(base, modified=True))
+    assert type(err.value) is type(want)
+    got = str(err.value)
+    assert got.startswith(message)
+    assert f"output vertex {output} " in got
+    assert f"fold step {step} averages in input vertex {vertex}: " in got
 
 
 def test_non_finite_intermediate_point_raises_value_error():
