@@ -107,10 +107,7 @@ def _circle_avg_rows(p0, n0, p1, n1, w):
     # every branch runs on every row, and the rows a branch is not taken on
     # may divide by zero there; rows that really fail are in the mask
     with np.errstate(all="ignore"):
-        c = _cross(n0, n1)
-        cn = np.sqrt(_dot(c, c))
-        theta = _angle_rows(cn, _dot(n0, n1))
-        antipodal = theta >= math.pi - tol.antipodal
+        theta, antipodal, c, cn = _angle_rows(n0, n1)
 
         nm = _slerp_rows(n0, n1, w, theta)
         linear = (

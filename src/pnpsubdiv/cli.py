@@ -35,7 +35,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 
@@ -48,7 +47,7 @@ from .errors import (
     NumericDegeneracyError,
     TopologyError,
 )
-from .geom import _angle_rows, _cross, _dot, _slerp_rows, get_tolerances
+from .geom import _angle_rows, _slerp_rows
 from .mesh import Mesh, _atomic_write, load_obj, naive_normals, save_obj, save_ply
 from .metrics import curvature, curvature_colors, measure, normal_deviation
 from .schemes import SchemeKind, refine
@@ -124,14 +123,12 @@ def cmd_morph(args) -> None:
     scheme = SchemeKind(args.scheme, modified=True)
     target = naive_normals(mesh)
     ends = tuple(target.T)
-    cross = _cross(nstar, ends)
-    theta = _angle_rows(np.sqrt(_dot(cross, cross)), _dot(nstar, ends))
-    antipodal = np.flatnonzero(theta >= math.pi - get_tolerances().antipodal)
-    if args.steps > 2 and len(antipodal):
+    theta, antipodal, _, _ = _angle_rows(nstar, ends)
+    if args.steps > 2 and antipodal.any():
         raise AntipodalNormalsError(
             f"geodesic average undefined for antipodal normals: --nstar is opposite the naive "
-            f"normal of vertex {antipodal[0]}, so morph step 1 (mu={1 / (args.steps - 1):.6g}) "
-            "has no blend"
+            f"normal of vertex {np.argmax(antipodal)}, so morph step 1 "
+            f"(mu={1 / (args.steps - 1):.6g}) has no blend"
         )
     os.makedirs(args.outdir, exist_ok=True)
     rows = ["mu,xi_deg"]

@@ -199,13 +199,21 @@ def z_dir(u, v) -> np.ndarray:
     return np.array((c[0] / cn, c[1] / cn, c[2] / cn))
 
 
-def _angle_rows(cross_norm, dot):
-    """:func:`_angle` over rows, from the norms of ``a x b`` and the dots ``a . b``.
+def _angle_rows(n0, n1):
+    """:func:`_angle` over rows of unit vectors, with the antipodal mask.
 
-    Each row equals the scalar result bit for bit: it is ``math.atan2``, not
-    ``np.arctan2``, whose SIMD loop can differ in the last bit.
+    ``n0`` and ``n1`` are triples of component arrays (either may be one
+    vector broadcast over the other's rows). Returns ``theta``, the mask of
+    the rows :func:`geodesic_avg` rejects as antipodal, and the cross
+    products ``n0 x n1`` with their norms, which the circle average reuses.
+    Each ``theta`` equals the scalar result bit for bit: it is
+    ``math.atan2``, not ``np.arctan2``, whose SIMD loop can differ in the
+    last bit.
     """
-    return np.fromiter(map(math.atan2, cross_norm.tolist(), dot.tolist()), float, len(cross_norm))
+    c = _cross(n0, n1)
+    cn = np.sqrt(_dot(c, c))
+    theta = np.fromiter(map(math.atan2, cn.tolist(), _dot(n0, n1).tolist()), float, len(cn))
+    return theta, theta >= math.pi - _TOL.antipodal, c, cn
 
 
 def _slerp(n0, n1, w, theta):

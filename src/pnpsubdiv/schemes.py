@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -283,7 +284,7 @@ def _circle_fold(mesh: Mesh, table: StencilTable) -> tuple[np.ndarray, np.ndarra
 
 def _raise_fold_error(
     table: StencilTable, plans: PlanTable, failed_at: np.ndarray, failures: dict
-) -> None:
+) -> NoReturn:
     """Raise the error of the lowest-numbered output vertex whose plan failed.
 
     The scalar path folds the output vertices in order and stops at the
@@ -311,6 +312,7 @@ def _raise_fold_error(
         raise ValueError(
             f"{exc} {where}; {step}: the average is not a finite point with a unit normal"
         ) from exc
+    raise AssertionError(f"output vertex {i} failed the fold but Pnp accepts its average")
 
 
 def refine_once(mesh: Mesh, scheme: SchemeKind) -> Mesh:

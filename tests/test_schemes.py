@@ -546,6 +546,16 @@ def test_fold_errors_extend_the_scalar_error(base, make):
     assert f"fold step {step} averages in input vertex {vertex}: " in got
 
 
+def test_a_flagged_row_that_pnp_accepts_never_returns(monkeypatch):
+    """If the row kernel flags a valid average, the fold stops instead of returning it."""
+    import pnpsubdiv.circle3d as circle3d
+
+    monkeypatch.setattr(circle3d, "_invalid_pnp_rows", lambda p, n: np.ones(p.shape[1], bool))
+    m = tetrahedron()
+    with pytest.raises(AssertionError, match="output vertex 0 failed the fold but Pnp accepts"):
+        refine_once(m.with_normals(naive_normals(m)), SchemeKind("lp", modified=True))
+
+
 def test_non_finite_intermediate_point_raises_value_error():
     # coordinates near the float limit: the chord of a circle average overflows
     m = tetrahedron()
