@@ -10,7 +10,7 @@ turns each of them into a scheme refining point-normal pairs, so the shape
 of the limit surface can be edited through the initial normals alone.
 """
 
-from .circle3d import chord_point, circle_avg_3d, deviation_from_chord, helix_trace
+from .circle3d import circle_avg_3d, deviation_from_chord
 from .geom import (
     Plane,
     Pnp,
@@ -32,35 +32,26 @@ from .metrics import (
     psi_zeta_star,
     zeta,
 )
-from .schemes import RefinementStep, SchemeKind, refine, refine_once, refinement_step
-from .stencil import AvgPlan, Stencil, affine_average, compile_plan, evaluate_plan
+from .schemes import SchemeKind, refine, refine_once
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AvgPlan",
     "Mesh",
     "MetricsReport",
     "Plane",
     "Pnp",
-    "RefinementStep",
     "SchemeKind",
-    "Stencil",
     "Tolerances",
-    "affine_average",
     "angle_between",
-    "chord_point",
     "circle_avg_2d",
     "circle_avg_3d",
-    "compile_plan",
     "curvature",
     "curvature_colors",
     "deviation_from_chord",
     "dihedral_angles",
-    "evaluate_plan",
     "geodesic_avg",
     "get_tolerances",
-    "helix_trace",
     "load_obj",
     "measure",
     "naive_normals",
@@ -68,7 +59,6 @@ __all__ = [
     "psi_zeta_star",
     "refine",
     "refine_once",
-    "refinement_step",
     "save_obj",
     "save_ply",
     "z_dir",

@@ -8,11 +8,10 @@ then offset along ``z`` by the weighted plane distance. Sweeping the weight
 traces a helix whose projection onto the working plane is the planar
 auxiliary arc.
 
-Also provided are the straight-chord quantities used as analytic oracles:
-:func:`chord_point` (the affine average, which is where the averaged point
-ends up in the limits of parallel normals or of a chord parallel /
-antiparallel to ``z``) and :func:`deviation_from_chord` (the closed-form
-distance between the averaged point and the chord point).
+Also provided is :func:`deviation_from_chord`, the closed-form distance
+between the averaged point and the chord point ``(1 - w) p0 + w p1`` (where
+the averaged point ends up in the limits of parallel normals or of a chord
+parallel / antiparallel to ``z``), an analytic oracle for the construction.
 """
 
 from __future__ import annotations
@@ -37,12 +36,7 @@ from .geom import (
     get_tolerances,
 )
 
-__all__ = [
-    "circle_avg_3d",
-    "chord_point",
-    "deviation_from_chord",
-    "helix_trace",
-]
+__all__ = ["circle_avg_3d", "deviation_from_chord"]
 
 
 def circle_avg_3d(P0: Pnp, P1: Pnp, w: float) -> Pnp:
@@ -130,18 +124,6 @@ def _circle_avg_rows(p0, n0, p1, n1, w):
     return pt, nm, antipodal, invalid
 
 
-def chord_point(p0, p1, w: float) -> np.ndarray:
-    """Affine average ``(1 - w) p0 + w p1``.
-
-    This is the intersection of the segment ``[p0, p1]`` with the plane at
-    offset fraction ``w`` between the two working planes, and the limit of
-    the averaged point as the normals align.
-    """
-    a = np.asarray(p0, dtype=float)
-    b = np.asarray(p1, dtype=float)
-    return (1.0 - w) * a + w * b
-
-
 def deviation_from_chord(P0: Pnp, P1: Pnp, w: float) -> float:
     """Closed-form distance between the averaged point and the chord point.
 
@@ -152,8 +134,8 @@ def deviation_from_chord(P0: Pnp, P1: Pnp, w: float) -> float:
         g^2 * [ (w - R)^2 + 4 w R sin^2(theta (1 - w) / 4) ],
         R = sin(theta w / 2) / sin(theta / 2)
 
-    which matches ``|circle_avg_3d(P0, P1, w).point - chord_point(...)|`` to
-    rounding. Raises :class:`ParallelNormalsError` for ``theta = 0`` where
+    which matches ``|circle_avg_3d(P0, P1, w).point - ((1 - w) p0 + w p1)|``
+    to rounding. Raises :class:`ParallelNormalsError` for ``theta = 0`` where
     the ratio ``R`` exists only as a limit, and
     :class:`AntipodalNormalsError` for opposite normals.
     """
@@ -176,20 +158,3 @@ def deviation_from_chord(P0: Pnp, P1: Pnp, w: float) -> float:
     ssq = math.sin(0.25 * theta * (1.0 - w))
     dev2 = (w - r) ** 2 + 4.0 * w * r * ssq * ssq
     return g * math.sqrt(max(dev2, 0.0))
-
-
-def helix_trace(P0: Pnp, P1: Pnp, samples: int) -> np.ndarray:
-    """Points of the average at equally spaced weights from 0 to 1.
-
-    Returns an array of shape ``(samples, 3)``; the first and last rows are
-    exactly ``p0`` and ``p1``. In a generic configuration the points lie on
-    a helix around ``z_dir(n0, n1)`` whose projection onto the working plane
-    is the planar auxiliary arc.
-    """
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
-    out = np.empty((samples, 3))
-    last = samples - 1
-    for i in range(samples):
-        out[i] = circle_avg_3d(P0, P1, i / last).point
-    return out

@@ -7,11 +7,8 @@ Subcommands::
     pnpsubdiv metrics  --input m.obj [--json report.json] [--xi] [--arrays]
     pnpsubdiv morph    --input m.obj --nstar X,Y,Z --outdir DIR [--scheme lp]
                        [--steps 11] [--iters 4]
-    pnpsubdiv colorize --input m.obj --range=LO:HI --output out.ply [--binary]
+    pnpsubdiv colorize --input m.obj --range LO:HI --output out.ply [--binary]
     pnpsubdiv compare  --input m.obj --schemes lp,cc [--iters N] [--json out.json]
-
-Write ``--range=LO:HI`` with the equals sign: a negative ``LO`` as a
-separate word (``--range -1:1``) reads as an option and is a usage error.
 
 ``morph`` refines the input once per step ``i`` of ``--steps``, with the
 normals ``geodesic_avg(nstar, naive normal, mu)`` at ``mu = i / (steps - 1)``.
@@ -149,10 +146,31 @@ def cmd_morph(args) -> None:
     _atomic_write(os.path.join(args.outdir, "xi.csv"), ("\n".join(rows) + "\n").encode("utf-8"))
 
 
+def _parse_range(text: str) -> tuple[float, float]:
+    lo_text, hi_text = text.split(":")
+    return float(lo_text), float(hi_text)
+
+
+def _join_range(argv: list[str]) -> list[str]:
+    """``--range LO:HI`` as ``--range=LO:HI``.
+
+    argparse reads a separate word starting with ``-``, such as ``-1:1``, as
+    an option, so a negative ``LO`` would need the equals sign. A next word
+    that does not parse as ``LO:HI`` is left for argparse to reject.
+    """
+    for i, word in enumerate(argv[:-1]):
+        if word == "--range":
+            try:
+                _parse_range(argv[i + 1])
+            except ValueError:
+                return argv
+            return argv[:i] + [f"--range={argv[i + 1]}"] + argv[i + 2 :]
+    return argv
+
+
 def cmd_colorize(args) -> None:
     try:
-        lo_text, hi_text = args.range.split(":")
-        lo, hi = float(lo_text), float(hi_text)
+        lo, hi = _parse_range(args.range)
     except ValueError:
         raise ValueError(f"--range must be LO:HI, got {args.range!r}") from None
     mesh = load_obj(args.input)
@@ -222,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("colorize", help="write a PLY colored by curvature")
     p.add_argument("--input", required=True)
-    p.add_argument("--range", required=True, help="curvature range, written --range=LO:HI")
+    p.add_argument("--range", required=True, help="curvature range LO:HI")
     p.add_argument("--output", required=True)
     p.add_argument("--binary", action="store_true", help="binary little-endian PLY")
     p.set_defaults(func=cmd_colorize)
@@ -241,7 +259,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_range(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -86,7 +86,3 @@ class StencilError(PnpSubdivError, ValueError):
 
 class AffineWeightError(StencilError):
     """Stencil weights do not sum to one (or a partial sum is non-positive)."""
-
-
-class ZeroWeightError(StencilError):
-    """A stencil contains a zero weight."""

@@ -216,30 +216,6 @@ class Mesh:
     def has_normals(self) -> bool:
         return self.normals is not None
 
-    def edge_id(self, u: int, v: int) -> int:
-        """Index of the undirected edge between vertices ``u`` and ``v``."""
-        out = np.flatnonzero(self.origin == u)
-        hit = out[self.dest(out) == v]
-        if not len(hit):
-            raise KeyError((u, v) if u < v else (v, u))
-        return int(self.edge[hit[0]])
-
-    def ring(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """Ordered one-ring of vertex ``v``: (neighbor vertices, wedge faces).
-
-        The ring starts at the smallest neighbor; face ``i`` of the ring
-        spans neighbors ``i`` and ``(i + 1) % k``.
-        """
-        out = np.flatnonzero(self.origin == v)
-        walk = [out[np.argmin(self.dest(out))]]
-        for _ in out[1:]:
-            walk.append(self.around(walk[-1]))
-        walk = np.array(walk)
-        return self.dest(walk), walk // self.arity
-
-    def valence(self, v: int) -> int:
-        return int(np.count_nonzero(self.origin == v))
-
     def with_normals(self, normals) -> "Mesh":
         """Copy of this mesh with ``normals`` attached; adjacency is shared."""
         checked = self._checked_normals(normals, self.vertex_count)

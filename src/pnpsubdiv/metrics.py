@@ -84,13 +84,12 @@ def dihedral_angles(mesh: Mesh) -> np.ndarray:
     return _row_angles(side[halves], side[mesh.twin[halves]])
 
 
-def curvature(mesh: Mesh) -> np.ndarray:
-    """Angle-deficit curvature per vertex: ``(2 pi - sum gamma_i) / A``.
+def _scaled_curvature(mesh: Mesh) -> tuple[np.ndarray, int]:
+    """The curvature times ``4**scale``, and ``scale`` (see :func:`curvature`).
 
-    ``A`` is the barycentric cell area ``(1/6) sum |p v_i| |p v_{i+1}|
-    sin gamma_i`` over the wedges at the vertex, one per face corner. A cell
-    whose doubled area is at most ``cross`` times ``sum |p v_i| |p v_{i+1}|``
-    is degenerate; the lowest such vertex is named.
+    The areas are computed in units of ``4**scale``, so these values stay in
+    the float range at any coordinate scale; only the final rescaling by
+    ``2**(-2 * scale)`` can overflow or underflow.
     """
     n = mesh.vertex_count
     corner = mesh.origin
@@ -99,18 +98,40 @@ def curvature(mesh: Mesh) -> np.ndarray:
     flat = np.flatnonzero(doubled <= get_tolerances().cross * np.bincount(corner, extent, n))
     if len(flat):
         raise ZeroAreaError(f"vanishing cell area at vertex {flat[0]}")
-    # the areas are in units of 4**scale
-    return np.ldexp((2.0 * math.pi - np.bincount(corner, gammas, n)) / (doubled / 6.0), -2 * scale)
+    return (2.0 * math.pi - np.bincount(corner, gammas, n)) / (doubled / 6.0), scale
 
 
-def zeta(mesh: Mesh, curvatures: Optional[np.ndarray] = None) -> np.ndarray:
-    """Local curvature spread per vertex: max - min over the vertex + ring."""
-    k = np.asarray(curvature(mesh) if curvatures is None else curvatures)
+def curvature(mesh: Mesh) -> np.ndarray:
+    """Angle-deficit curvature per vertex: ``(2 pi - sum gamma_i) / A``.
+
+    ``A`` is the barycentric cell area ``(1/6) sum |p v_i| |p v_{i+1}|
+    sin gamma_i`` over the wedges at the vertex, one per face corner. A cell
+    whose doubled area is at most ``cross`` times ``sum |p v_i| |p v_{i+1}|``
+    is degenerate; the lowest such vertex is named.
+    """
+    k, scale = _scaled_curvature(mesh)
+    return np.ldexp(k, -2 * scale)
+
+
+def _spread(mesh: Mesh, k: np.ndarray) -> np.ndarray:
     neighbour = k[mesh.dest(np.arange(len(mesh.origin)))]
     hi, lo = k.copy(), k.copy()
     np.maximum.at(hi, mesh.origin, neighbour)
     np.minimum.at(lo, mesh.origin, neighbour)
     return hi - lo
+
+
+def zeta(mesh: Mesh, curvatures: Optional[np.ndarray] = None) -> np.ndarray:
+    """Local curvature spread per vertex: max - min over the vertex + ring.
+
+    Without ``curvatures`` the spread is taken on the scaled curvature and
+    rescaled once, which is exact, so a curvature beyond the float range
+    gives an infinite spread rather than ``inf - inf``.
+    """
+    if curvatures is not None:
+        return _spread(mesh, np.asarray(curvatures))
+    k, scale = _scaled_curvature(mesh)
+    return np.ldexp(_spread(mesh, k), -2 * scale)
 
 
 def psi_zeta_star(mesh: Mesh) -> tuple[float, float]:
@@ -157,11 +178,11 @@ class MetricsReport:
 def measure(mesh: Mesh, xi: bool = False) -> MetricsReport:
     """Compute the full report; ``xi`` needs stored normals on the mesh."""
     dihedral = dihedral_angles(mesh)
-    k = curvature(mesh)
-    z = zeta(mesh, k)
+    k, scale = _scaled_curvature(mesh)
+    z = np.ldexp(_spread(mesh, k), -2 * scale)
     return MetricsReport(
         edge_dihedral=dihedral,
-        vertex_curvature=k,
+        vertex_curvature=np.ldexp(k, -2 * scale),
         vertex_zeta=z,
         psi_deg=math.degrees(float(dihedral.max())),
         zeta_star=float(z.max()),

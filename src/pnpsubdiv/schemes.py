@@ -11,8 +11,8 @@ refined face list. The same table drives both modes:
   averages and evaluated with the 3D circle average, refining full
   point-normal pairs. A level is folded at once: step ``k`` of every chain
   is one array evaluation of the circle average, with the same floats as
-  the scalar reference, which folds each row's
-  :class:`~pnpsubdiv.stencil.Stencil` with :func:`~pnpsubdiv.circle3d.circle_avg_3d`.
+  the scalar reference in the test suite (``tests/oracle.py``), which
+  folds one row at a time with :func:`~pnpsubdiv.circle3d.circle_avg_3d`.
   The array evaluation also flags the rows the scalar average rejects, so
   a failing level raises the scalar reference's error, naming the output
   vertex, the fold step, its input vertex and the cause, without running
@@ -52,7 +52,7 @@ from .circle3d import _circle_avg_rows
 from .errors import AntipodalNormalsError, ArityMismatchError, MissingNormalsError
 from .geom import Pnp, _invalid_pnp_rows
 from .mesh import Mesh, naive_normals
-from .stencil import PlanTable, Stencil, StencilTable, compile_table
+from .stencil import PlanTable, StencilTable, compile_table
 
 __all__ = ["SchemeKind", "RefinementStep", "refinement_step", "refine_once", "refine"]
 
@@ -90,11 +90,6 @@ class RefinementStep:
 
     table: StencilTable
     faces: np.ndarray
-
-    @property
-    def stencils(self) -> tuple[Stencil, ...]:
-        """Every row of ``table`` as a :class:`Stencil`, the input of the scalar reference."""
-        return tuple(self.table.stencil(i) for i in range(len(self.table)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Affine stencils and their compilation into chains of binary averages.
+"""Affine stencil tables and their compilation into chains of binary averages.
 
 A subdivision rule computes an output element as an affine combination of
 ``k`` input elements. Rewriting that combination as ``k - 1`` weighted
@@ -14,63 +14,25 @@ plans are identical across runs and platforms. (Observed nonlinear results
 are nearly independent of the order, so any fixed order does; the recorded
 spread across orders is checked in the test suite, not asserted.)
 
-:class:`Stencil`, :func:`compile_plan` and :func:`evaluate_plan` handle one
-stencil and are the scalar reference. Mesh refinement keeps a whole level
-in one CSR :class:`StencilTable`, and :func:`compile_table` yields the same
-element order and binary weights for every row as arrays, so a level is
-folded as a few vector steps. Nothing is cached: stencils hold absolute
-vertex indices, so almost none repeat.
+Mesh refinement keeps a whole level in one CSR :class:`StencilTable`, and
+:func:`compile_table` yields every row's element order and binary weights as
+arrays, so a level is folded as a few vector steps. The scalar reference,
+which compiles and folds one stencil at a time, lives in the test suite
+(``tests/oracle.py``); the tests require the same floats from both. Nothing
+is cached: stencils hold absolute vertex indices, so almost none repeat.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AffineWeightError, ZeroWeightError
+from .errors import AffineWeightError
 
-__all__ = [
-    "Stencil",
-    "StencilTable",
-    "AvgPlan",
-    "PlanTable",
-    "compile_plan",
-    "compile_table",
-    "evaluate_plan",
-    "affine_average",
-]
+__all__ = ["StencilTable", "PlanTable", "compile_table"]
 
 _SUM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Stencil:
-    """An affine combination: ``terms`` maps element indices to weights.
-
-    Weights must be nonzero, indices distinct and nonnegative, and the
-    weights must sum to one within 1e-12.
-    """
-
-    terms: tuple[tuple[int, float], ...]
-
-    def __post_init__(self):
-        if not self.terms:
-            raise AffineWeightError("stencil must have at least one term")
-        seen = set()
-        total = 0.0
-        for idx, weight in self.terms:
-            if idx < 0:
-                raise ValueError(f"negative element index {idx}")
-            if idx in seen:
-                raise ValueError(f"duplicate element index {idx}")
-            seen.add(idx)
-            if weight == 0.0:
-                raise ZeroWeightError(f"zero weight at element {idx}")
-            total += weight
-        if not abs(total - 1.0) <= _SUM_TOL:  # also refuses a nan weight
-            raise AffineWeightError(f"weights sum to {total!r}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -91,8 +53,9 @@ class StencilTable:
         meshes, tensor-product grids that wrap around) can hit an element
         more than once in a row or cancel it out. Repeats are summed one by
         one in the order given, and zero sums dropped. Every row must then
-        be a valid :class:`Stencil`; the lowest row that is not raises
-        :class:`AffineWeightError`. Indices must be nonnegative.
+        have at least one term and weights summing to one within 1e-12; the
+        lowest row that does not raises :class:`AffineWeightError`. Indices
+        must be nonnegative.
         """
         n = int(index.max(initial=-1)) + 1
         keys, slot = np.unique(rows * n + index, return_inverse=True)
@@ -115,49 +78,6 @@ class StencilTable:
     def __len__(self) -> int:
         return len(self.indptr) - 1
 
-    def stencil(self, i: int) -> Stencil:
-        """Row ``i`` as a :class:`Stencil`, the input of the scalar reference."""
-        s, e = self.indptr[i], self.indptr[i + 1]
-        return Stencil(tuple(zip(self.index[s:e].tolist(), self.weight[s:e].tolist())))
-
-
-@dataclass(frozen=True)
-class AvgPlan:
-    """A stencil compiled to repeated binary averages.
-
-    Evaluation starts from element ``first`` and folds ``steps`` left to
-    right; each step averages the running value with element ``index`` using
-    binary weight ``w`` (meaning ``(1 - w) * acc + w * element`` under the
-    affine operator). A single-term stencil compiles to an empty plan and
-    evaluates to the input element itself, which is what keeps interpolatory
-    schemes exact on their original vertices.
-    """
-
-    first: int
-    steps: tuple[tuple[int, float], ...]
-
-
-def compile_plan(stencil: Stencil) -> AvgPlan:
-    """Compile ``stencil`` into its canonical chain of binary averages.
-
-    Positive-weight terms are consumed first, so every intermediate partial
-    weight stays strictly positive; that is asserted during compilation.
-    """
-    pos = sorted((t for t in stencil.terms if t[1] > 0.0), key=lambda t: (-abs(t[1]), t[0]))
-    neg = sorted((t for t in stencil.terms if t[1] < 0.0), key=lambda t: (-abs(t[1]), t[0]))
-    if not pos:
-        raise AffineWeightError("stencil has no positive weight")
-    ordered = pos + neg
-    first_idx, sigma = ordered[0]
-    steps = []
-    for idx, alpha in ordered[1:]:
-        denom = sigma + alpha
-        if denom <= 0.0:
-            raise AffineWeightError(f"non-positive partial weight sum {denom!r}")
-        steps.append((idx, alpha / denom))
-        sigma = denom
-    return AvgPlan(first=first_idx, steps=tuple(steps))
-
 
 @dataclass(frozen=True)
 class PlanTable:
@@ -168,8 +88,10 @@ class PlanTable:
     each plan's first element. ``steps[k - 1]`` is the pair ``(index, w)``
     of element indices and binary weights of fold step ``k``, for the first
     ``len(index)`` positions, which are the plans that have a step ``k``.
-    Stencil ``rows[r]`` compiles to the :class:`AvgPlan` with ``first[r]``
-    and the steps ``(index[r], w[r])`` for which ``r < len(index)``.
+    The plan of stencil ``rows[r]`` starts from element ``first[r]`` and
+    takes the steps ``(index[r], w[r])`` for which ``r < len(index)``; the
+    scalar reference in ``tests/oracle.py`` compiles each row to the same
+    plan.
     """
 
     rows: np.ndarray
@@ -178,13 +100,14 @@ class PlanTable:
 
 
 def compile_table(table: StencilTable) -> PlanTable:
-    """Compile every row of ``table`` at once, as :func:`compile_plan` would one by one.
+    """Compile every row of ``table`` at once into its chain of binary averages.
 
     The terms are put in plan order by a single sort: by row, positive
     weights first, then descending absolute weight, then ascending index.
-    The binary weights are computed from the same running sums, so they are
-    the same floats. Raises :class:`AffineWeightError` like
-    :func:`compile_plan`.
+    Each binary weight is the term's weight over the running weight sum, the
+    same floats as the scalar reference in ``tests/oracle.py`` computes one
+    row at a time. Raises :class:`AffineWeightError` for a row without a
+    positive weight or with a non-positive partial weight sum.
     """
     lengths = np.diff(table.indptr)
     index, weight = table.index, table.weight
@@ -209,21 +132,3 @@ def compile_table(table: StencilTable) -> PlanTable:
         steps.append((index[at], alpha / denom))
         sigma[: len(at)] = denom
     return PlanTable(rows=rows, first=index[starts], steps=tuple(steps))
-
-
-def evaluate_plan(plan: AvgPlan, elements: Sequence, binop: Callable) -> object:
-    """Fold ``plan`` over ``elements`` with the binary average ``binop``.
-
-    ``binop(a, b, w)`` must return the weighted average of ``a`` and ``b``.
-    With :func:`affine_average` the result equals the direct weighted sum of
-    the stencil; with the circle average it is the modified-scheme value.
-    """
-    acc = elements[plan.first]
-    for idx, w in plan.steps:
-        acc = binop(acc, elements[idx], w)
-    return acc
-
-
-def affine_average(a, b, w: float):
-    """The plain weighted average ``(1 - w) * a + w * b``."""
-    return (1.0 - w) * a + w * b

@@ -1,7 +1,9 @@
 """Mesh constructions shared by the tests: platonic solids, spheres, tori.
 
 All meshes are closed, consistently outward-oriented, and centered so
-orientation can be checked via the sign of normal . position.
+orientation can be checked via the sign of normal . position. Also the
+per-vertex topology queries the tests walk meshes with (:func:`one_ring`,
+:func:`valence`), read from the half-edge arrays.
 """
 
 import math
@@ -11,6 +13,24 @@ import numpy as np
 from pnpsubdiv import Mesh, naive_normals
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def one_ring(mesh: Mesh, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered one-ring of vertex ``v``: (neighbor vertices, wedge faces).
+
+    The ring starts at the smallest neighbor; face ``i`` of the ring
+    spans neighbors ``i`` and ``(i + 1) % k``.
+    """
+    out = np.flatnonzero(mesh.origin == v)
+    walk = [out[np.argmin(mesh.dest(out))]]
+    for _ in out[1:]:
+        walk.append(mesh.around(walk[-1]))
+    walk = np.array(walk)
+    return mesh.dest(walk), walk // mesh.arity
+
+
+def valence(mesh: Mesh, v: int) -> int:
+    return int(np.count_nonzero(mesh.origin == v))
 
 
 def tetrahedron() -> Mesh:
@@ -75,11 +95,9 @@ def split_tri_midpoints(mesh: Mesh) -> Mesh:
     v = mesh.vertex_count
     mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
     faces = []
-    for face in mesh.faces:
+    for fi, face in enumerate(mesh.faces):
         a, b, c = (int(x) for x in face)
-        eab = v + mesh.edge_id(a, b)
-        ebc = v + mesh.edge_id(b, c)
-        eca = v + mesh.edge_id(c, a)
+        eab, ebc, eca = (v + int(k) for k in mesh.edge[3 * fi : 3 * fi + 3])
         faces += [[a, eab, eca], [b, ebc, eab], [c, eca, ebc], [eab, ebc, eca]]
     return Mesh(np.vstack([mesh.vertices, mids]), faces)
 
@@ -93,7 +111,7 @@ def split_quad_midpoints(mesh: Mesh) -> Mesh:
     faces = []
     for fi, face in enumerate(mesh.faces):
         corners = [int(x) for x in face]
-        eids = [v + mesh.edge_id(corners[j], corners[(j + 1) % 4]) for j in range(4)]
+        eids = [v + int(k) for k in mesh.edge[4 * fi : 4 * fi + 4]]
         center = v + e + fi
         for j in range(4):
             faces.append([corners[j], eids[j], center, eids[j - 1]])

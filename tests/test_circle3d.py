@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from meshes import random_pnp_pair, random_rotation, random_unit
+from oracle import chord_point, helix_trace
 from pnpsubdiv import (
     Plane,
     Pnp,
     angle_between,
-    chord_point,
     circle_avg_2d,
     circle_avg_3d,
     deviation_from_chord,
-    helix_trace,
 )
 from pnpsubdiv.circle3d import _circle_avg_rows
 from pnpsubdiv.errors import AntipodalNormalsError, ParallelNormalsError

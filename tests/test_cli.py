@@ -107,6 +107,10 @@ CLI_TABLE = [
     ("morph-antipodal-nstar-3-steps", f"{MORPH} 1,0,0 --steps 3", cli.EXIT_NUMERIC, []),
     ("colorize", "colorize --input {tri} --range=-1:1 --output {out}/c.ply", cli.EXIT_OK,
      ["c.ply"]),
+    ("colorize-range-word", "colorize --input {tri} --range -1:1 --output {out}/c.ply",
+     cli.EXIT_OK, ["c.ply"]),
+    ("colorize-range-missing", "colorize --input {tri} --range --output {out}/c.ply",
+     cli.EXIT_USAGE, []),
     ("compare", "compare --input {quad} --schemes cc,k4 --iters 1 --json {out}/c.json", cli.EXIT_OK,
      ["c.json"]),
     ("iters-negative", "refine --input {tri} --output {out}/r.obj --scheme lp --iters -1",
@@ -135,6 +139,14 @@ def test_cli_exit_codes(cli_inputs, command, code, written):
     assert caught == []
     out = Path(cli_inputs["out"])
     assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()) == written
+
+
+def test_colorize_range_as_a_separate_word_writes_the_same_bytes(cli_inputs):
+    out = Path(cli_inputs["out"])
+    for name, flag in (("joined", ["--range=-1:1"]), ("separate", ["--range", "-1:1"])):
+        argv = ["colorize", "--input", cli_inputs["tri"], *flag, "--output", str(out / name)]
+        assert cli.main(argv) == cli.EXIT_OK
+    assert (out / "joined").read_bytes() == (out / "separate").read_bytes()
 
 
 def test_morph_names_the_vertex_and_step_of_an_antipodal_blend(cli_inputs, caplog):

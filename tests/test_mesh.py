@@ -10,10 +10,12 @@ from meshes import (
     icosahedron,
     lumpy_tube,
     octahedron,
+    one_ring,
     random_rotation,
     tetrahedron,
     torus_quad,
     torus_tri,
+    valence,
 )
 from pnpsubdiv import Mesh, load_obj, naive_normals, save_obj, save_ply
 from pnpsubdiv.errors import (
@@ -37,7 +39,7 @@ def test_cube_counts_and_valences():
     assert m.vertex_count == 8
     assert m.face_count == 6
     assert m.edge_count == 12                      # Euler: 8 - 12 + 6 = 2
-    assert all(m.valence(v) == 3 for v in range(8))
+    assert all(valence(m, v) == 3 for v in range(8))
 
 
 def test_every_edge_has_two_faces():
@@ -54,7 +56,7 @@ def test_ring_traversal_covers_incident_faces_once():
             for v in face:
                 face_sets[int(v)].add(fi)
         for v in range(mesh.vertex_count):
-            ring_v, ring_f = mesh.ring(v)
+            ring_v, ring_f = one_ring(mesh, v)
             assert len(ring_v) == len(ring_f)
             assert set(int(f) for f in ring_f) == face_sets[v]
             assert len(set(int(f) for f in ring_f)) == len(ring_f)
@@ -63,7 +65,7 @@ def test_ring_traversal_covers_incident_faces_once():
 def test_ring_order_consistent_with_faces():
     m = cube()
     for v in range(m.vertex_count):
-        ring_v, ring_f = m.ring(v)
+        ring_v, ring_f = one_ring(m, v)
         k = len(ring_v)
         assert ring_v[0] == ring_v.min()
         for i in range(k):
@@ -217,7 +219,7 @@ def _naive_normals_loop(mesh):
     """The per-vertex reference: wedges in one-ring order."""
     out = np.empty((mesh.vertex_count, 3))
     for p in range(mesh.vertex_count):
-        ring, _ = mesh.ring(p)
+        ring, _ = one_ring(mesh, p)
         e = mesh.vertices[ring] - mesh.vertices[p]
         crosses = np.cross(e, np.roll(e, -1, axis=0))
         norms = np.linalg.norm(crosses, axis=1)
@@ -235,7 +237,7 @@ def test_naive_normals_match_the_ring_loop():
 def test_wedge_angles_sum_to_two_pi_on_flat_regions():
     m = flat_cube(2)
     for v in flat_cube_interior_vertices(m):
-        ring, _ = m.ring(v)
+        ring, _ = one_ring(m, v)
         e = m.vertices[ring] - m.vertices[v]
         e_next = np.roll(e, -1, axis=0)
         gam = np.arctan2(
@@ -349,7 +351,7 @@ def test_obj_cube_is_valid(tmp_path):
     save_obj(cube(), path)
     m = load_obj(path)
     assert m.edge_count == 12
-    assert all(m.valence(v) == 3 for v in range(m.vertex_count))
+    assert all(valence(m, v) == 3 for v in range(m.vertex_count))
 
 
 def test_obj_accepts_slash_forms(tmp_path):

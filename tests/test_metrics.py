@@ -13,6 +13,7 @@ from meshes import (
     flat_tri_octa,
     icosahedron,
     octahedron,
+    one_ring,
     tetrahedron,
     torus_tri,
     tri_sphere,
@@ -119,14 +120,14 @@ def test_curvature_and_zeta_match_the_ring_loop():
         k = np.empty(m.vertex_count)
         spread = np.empty(m.vertex_count)
         for p in range(m.vertex_count):
-            ring, _ = m.ring(p)
+            ring, _ = one_ring(m, p)
             e = m.vertices[ring] - m.vertices[p]
             e_next = np.roll(e, -1, axis=0)
             norms = np.linalg.norm(np.cross(e, e_next), axis=1)
             gam = np.arctan2(norms, np.einsum("ij,ij->i", e, e_next))
             k[p] = (2 * math.pi - gam.sum()) / (norms.sum() / 6.0)
         for p in range(m.vertex_count):
-            values = k[np.append(m.ring(p)[0], p)]
+            values = k[np.append(one_ring(m, p)[0], p)]
             spread[p] = values.max() - values.min()
         assert np.abs(curvature(m) - k).max() < 1e-12 * np.abs(k).max()
         assert np.array_equal(zeta(m, k), spread)
@@ -135,7 +136,7 @@ def test_curvature_and_zeta_match_the_ring_loop():
 def test_zeta_definition_on_explicit_values():
     m = octahedron()
     # neighborhood values {1, 2, 5}: spread is 4 regardless of multiplicity
-    ring, _ = m.ring(0)
+    ring, _ = one_ring(m, 0)
     values = np.full(m.vertex_count, 2.0)
     values[ring[0]] = 1.0
     values[ring[1]] = 5.0
@@ -166,7 +167,7 @@ def test_gauss_bonnet_on_genus_zero_meshes():
     for m in (tetrahedron(), octahedron(), icosahedron(), tri_sphere(2), cube(), flat_cube(2)):
         total = 0.0
         for p in range(m.vertex_count):
-            ring, _ = m.ring(p)
+            ring, _ = one_ring(m, p)
             e = m.vertices[ring] - m.vertices[p]
             e_next = np.roll(e, -1, axis=0)
             gam = np.arctan2(
@@ -181,7 +182,7 @@ def test_gauss_bonnet_torus_is_zero():
     m = torus_tri(12, 8)
     total = 0.0
     for p in range(m.vertex_count):
-        ring, _ = m.ring(p)
+        ring, _ = one_ring(m, p)
         e = m.vertices[ring] - m.vertices[p]
         e_next = np.roll(e, -1, axis=0)
         gam = np.arctan2(
@@ -195,20 +196,22 @@ def test_gauss_bonnet_torus_is_zero():
 def test_measure_is_scale_free(mesh_fn, base):
     """psi and xi do not depend on the coordinate scale; zeta* scales as 1 / s^2.
 
-    At 1e-300 and 1e300 the curvature itself leaves the float range, so only
-    psi and xi are compared there, and only at 1e-300, where it overflows, are
-    numpy's overflow and invalid warnings silenced.
+    Below 1e-150 and at 1e300 the curvature itself leaves the float range, so
+    only psi and xi are compared there. Below 1e-150, where it overflows,
+    zeta* is infinite, and only numpy's overflow warning is silenced.
     """
     mesh = mesh_fn(12, 6)
     refined = refine_once(mesh.with_normals(naive_normals(mesh)), SchemeKind(base, modified=True))
     base_report = measure(refined, xi=True)
-    for s in (1e-300, 1e-150, 1e-100, 1e-8, 1e-6, 1e-3, 1e3, 1e6, 1e8, 1e100, 1e150, 1e300):
+    for s in (1e-300, 1e-160, 1e-150, 1e-100, 1e-8, 1e-6, 1e-3, 1e3, 1e6, 1e8, 1e100, 1e150, 1e300):
         scaled = Mesh(refined.vertices * s, refined.faces, normals=refined.normals)
         overflows = s < 1e-150
-        with np.errstate(over="ignore", invalid="ignore") if overflows else contextlib.nullcontext():
+        with np.errstate(over="ignore") if overflows else contextlib.nullcontext():
             report = measure(scaled, xi=True)
         assert report.psi_deg == pytest.approx(base_report.psi_deg, rel=1e-9)
         assert report.xi_deg == pytest.approx(base_report.xi_deg, rel=1e-9)
+        if overflows:
+            assert math.isinf(report.zeta_star)
         if 1e-150 <= s <= 1e150:
             assert report.zeta_star * s * s == pytest.approx(base_report.zeta_star, rel=1e-9)
 

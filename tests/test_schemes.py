@@ -7,37 +7,31 @@ from meshes import (
     cube,
     icosahedron,
     octahedron,
+    one_ring,
     quad_sphere,
     random_rotation,
     tetrahedron,
     torus_quad,
     torus_tri,
     tri_sphere,
+    valence,
     with_outward_unit_normals,
 )
-from pnpsubdiv import (
-    Mesh,
-    Pnp,
-    SchemeKind,
-    Stencil,
-    affine_average,
-    circle_avg_3d,
-    compile_plan,
-    evaluate_plan,
-    naive_normals,
-    refine,
-    refine_once,
-    refinement_step,
-)
+from oracle import Stencil, affine_average, as_stencils, as_table, compile_plan, evaluate_plan
+from pnpsubdiv import Mesh, Pnp, SchemeKind, circle_avg_3d, naive_normals, refine, refine_once
 from pnpsubdiv.errors import AntipodalNormalsError, ArityMismatchError, MissingNormalsError
-from pnpsubdiv.schemes import _ARITY, _TERMS, _circle_fold
-from test_stencil import _table
+from pnpsubdiv.schemes import _ARITY, _TERMS, _circle_fold, refinement_step
 
 ALL_BASES = ["cc", "lp", "k4", "by"]
 
 
 def _mesh_for(base):
     return cube() if base in ("cc", "k4") else tetrahedron()
+
+
+def _stencils(mesh, base):
+    """The output stencils of one refinement step, as scalar-reference stencils."""
+    return as_stencils(refinement_step(mesh, base).table)
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +91,9 @@ def test_refine_zero_iters_is_identity(base):
 @pytest.mark.parametrize("base", ALL_BASES)
 def test_stencils_are_affine_and_faces_oriented(base):
     m = _mesh_for(base)
-    step = refinement_step(m, base)
+    stencils = _stencils(m, base)
     # Stencil construction enforces the unit weight sum; re-check explicitly
-    for st in step.stencils:
+    for st in stencils:
         assert abs(sum(w for _, w in st.terms) - 1.0) < 1e-12
     out = refine_once(m, SchemeKind(base))
     assert out.face_count == 4 * m.face_count
@@ -109,9 +103,9 @@ def test_stencils_are_affine_and_faces_oriented(base):
 
 def test_interpolatory_old_vertex_stencils_are_identity():
     for base, mesh in (("k4", cube()), ("by", tetrahedron())):
-        step = refinement_step(mesh, base)
+        stencils = _stencils(mesh, base)
         for v in range(mesh.vertex_count):
-            assert step.stencils[v].terms == ((v, 1.0),)
+            assert stencils[v].terms == ((v, 1.0),)
 
 
 # Butterfly wings repeat and cancel on the tetrahedron and the octahedron;
@@ -149,8 +143,7 @@ def _dict_merged_terms(mesh, base):
 @pytest.mark.parametrize("base", ALL_BASES)
 def test_stencils_equal_the_dict_merge(base):
     for mesh in _two_levels(base):
-        step = refinement_step(mesh, base)
-        assert [st.terms for st in step.stencils] == _dict_merged_terms(mesh, base)
+        assert [st.terms for st in _stencils(mesh, base)] == _dict_merged_terms(mesh, base)
 
 
 def _affine_positions(stencils, vertices):
@@ -172,7 +165,8 @@ def test_linear_positions_equal_the_term_walk(base):
     for mesh in _two_levels(base):
         step = refinement_step(mesh, base)
         out = refine_once(mesh, SchemeKind(base))
-        assert np.array_equal(out.vertices, _affine_positions(step.stencils, mesh.vertices))
+        want = _affine_positions(as_stencils(step.table), mesh.vertices)
+        assert np.array_equal(out.vertices, want)
         assert np.array_equal(out.faces, step.faces)
 
 
@@ -196,9 +190,9 @@ def test_linear_mode_planar_meshes_stay_planar(base):
 @pytest.mark.parametrize("base", ALL_BASES)
 def test_linear_mode_matches_plan_evaluation(base):
     m = _mesh_for(base)
-    step = refinement_step(m, base)
+    stencils = _stencils(m, base)
     out = refine_once(m, SchemeKind(base))
-    for i, st in enumerate(step.stencils):
+    for i, st in enumerate(stencils):
         via_plan = evaluate_plan(compile_plan(st), list(m.vertices), affine_average)
         assert np.linalg.norm(out.vertices[i] - via_plan) < 1e-12
 
@@ -213,46 +207,46 @@ def test_cc_vertex_stencil_matches_q_2r_formula():
     # independent oracle: assemble (Q + 2R + (k-3)P)/k from face centroids
     # and edge midpoints, compare against the stencil evaluation
     m = quad_sphere(1)
-    step = refinement_step(m, "cc")
+    stencils = _stencils(m, "cc")
     verts = m.vertices
     for p in (0, 10, 20):
-        ring, rfaces = m.ring(p)
+        ring, rfaces = one_ring(m, p)
         k = len(ring)
         q = np.mean([verts[m.faces[f]].mean(axis=0) for f in rfaces], axis=0)
         r = np.mean([(verts[p] + verts[v]) / 2 for v in ring], axis=0)
         expect = (q + 2 * r + (k - 3) * verts[p]) / k
-        got = sum(w * verts[i] for i, w in step.stencils[p].terms)
+        got = sum(w * verts[i] for i, w in stencils[p].terms)
         assert np.linalg.norm(got - expect) < 1e-12
 
 
 def test_loop_edge_and_vertex_weights():
     m = tetrahedron()
-    step = refinement_step(m, "lp")
+    stencils = _stencils(m, "lp")
     # vertex stencil for valence 3: beta = 3/16
-    st = dict(step.stencils[0].terms)
+    st = dict(stencils[0].terms)
     assert st[0] == pytest.approx(1 - 3 * 3 / 16)
     for v in (1, 2, 3):
         assert st[v] == pytest.approx(3 / 16)
     # edge stencils: 3/8 endpoints, 1/8 wings
-    st = dict(step.stencils[4].terms)
+    st = dict(stencils[4].terms)
     assert sorted(st.values()) == pytest.approx([1 / 8, 1 / 8, 3 / 8, 3 / 8])
 
 
 def test_butterfly_on_tetrahedron_collapses_to_midpoint():
     # wings coincide with the opposite corners and cancel the 1/8 taps
-    step = refinement_step(tetrahedron(), "by")
+    stencils = _stencils(tetrahedron(), "by")
     for eid in range(6):
-        st = step.stencils[4 + eid]
+        st = stencils[4 + eid]
         assert sorted(w for _, w in st.terms) == [0.5, 0.5]
 
 
 def test_butterfly_regular_stencil_weights():
     m = tri_sphere(1)  # all valences 5 or 6
-    step = refinement_step(m, "by")
+    stencils = _stencils(m, "by")
     for eid in range(m.edge_count):
         a, b = m.edges[eid]
-        if m.valence(int(a)) == 6 and m.valence(int(b)) == 6:
-            weights = sorted(w for _, w in step.stencils[m.vertex_count + eid].terms)
+        if valence(m, int(a)) == 6 and valence(m, int(b)) == 6:
+            weights = sorted(w for _, w in stencils[m.vertex_count + eid].terms)
             assert weights == pytest.approx([-1 / 16] * 4 + [1 / 8] * 2 + [1 / 2] * 2)
             return
     pytest.skip("no regular edge found")
@@ -260,11 +254,11 @@ def test_butterfly_regular_stencil_weights():
 
 def test_k4_regular_grid_tensor_weights():
     m = torus_quad(8, 8, 4.0, 1.5)  # all valences 4: fully regular
-    step = refinement_step(m, "k4")
+    stencils = _stencils(m, "k4")
     eid = 0
-    st = sorted(w for _, w in step.stencils[m.vertex_count + eid].terms)
+    st = sorted(w for _, w in stencils[m.vertex_count + eid].terms)
     assert st == pytest.approx([-1 / 16, -1 / 16, 9 / 16, 9 / 16])
-    face_st = step.stencils[m.vertex_count + m.edge_count].terms
+    face_st = stencils[m.vertex_count + m.edge_count].terms
     weights = sorted(w for _, w in face_st)
     expect = sorted(
         [81 / 256] * 4 + [-9 / 256] * 8 + [1 / 256] * 4
@@ -274,11 +268,11 @@ def test_k4_regular_grid_tensor_weights():
 
 
 def test_k4_cube_falls_back_to_midpoints():
-    step = refinement_step(cube(), "k4")  # valence 3 everywhere
+    stencils = _stencils(cube(), "k4")  # valence 3 everywhere
     for eid in range(12):
-        assert sorted(w for _, w in step.stencils[8 + eid].terms) == [0.5, 0.5]
+        assert sorted(w for _, w in stencils[8 + eid].terms) == [0.5, 0.5]
     for f in range(6):
-        st = step.stencils[8 + 12 + f]
+        st = stencils[8 + 12 + f]
         assert sorted(w for _, w in st.terms) == [0.25] * 4
 
 
@@ -357,9 +351,11 @@ def test_modified_deterministic():
 # ---------------------------------------------------------------------------
 
 def _posed_torus(base, rng, normal_kind):
-    """A randomly posed small torus with perturbed naive or all-equal normals."""
+    """A randomly posed small torus with naive, perturbed naive or all-equal normals."""
     mesh = torus_quad(12, 6) if base in ("cc", "k4") else torus_tri(12, 6)
     mesh = Mesh(mesh.vertices @ random_rotation(rng).T * 2.5 + rng.normal(size=3), mesh.faces)
+    if normal_kind == "naive":
+        return mesh.with_normals(naive_normals(mesh))
     if normal_kind == "equal":
         n = np.tile(rng.normal(size=3), (mesh.vertex_count, 1))
     else:
@@ -367,19 +363,21 @@ def _posed_torus(base, rng, normal_kind):
     return mesh.with_normals(n / np.linalg.norm(n, axis=1)[:, None])
 
 
-@pytest.mark.parametrize("normal_kind", ["perturbed", "equal"])
+@pytest.mark.parametrize("normal_kind", ["naive", "perturbed", "equal"])
 @pytest.mark.parametrize("base", ALL_BASES)
 def test_modified_refine_equals_scalar_oracle(base, normal_kind, rng):
     """Every output vertex equals its plan folded by circle_avg_3d, bit for bit.
 
-    All-equal normals take the linear-limit branch of the circle average on
-    every step of the first level.
+    Naive normals on a posed torus are the benchmark's input, folded for as
+    many levels as it refines. All-equal normals take the linear-limit
+    branch of the circle average on every step of the first level.
     """
     mesh = _posed_torus(base, rng, normal_kind)
-    for _ in range(2):
+    for _ in range(3 if normal_kind == "naive" else 2):
         step = refinement_step(mesh, base)
         pnps = [Pnp(mesh.vertices[i], mesh.normals[i]) for i in range(mesh.vertex_count)]
-        want = [evaluate_plan(compile_plan(st), pnps, circle_avg_3d) for st in step.stencils]
+        stencils = as_stencils(step.table)
+        want = [evaluate_plan(compile_plan(st), pnps, circle_avg_3d) for st in stencils]
         points = np.array([r.point for r in want])
         normals = np.array([r.normal for r in want])
         got_points, got_normals = _circle_fold(mesh, step.table)
@@ -469,7 +467,7 @@ def test_fold_reports_the_lowest_failing_output_vertex():
     # vertex 0 first and fails there.
     normals = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     mesh = tetrahedron().with_normals(normals)
-    table = _table([
+    table = as_table([
         Stencil(((0, 0.5), (2, 0.375), (1, 0.125))),
         Stencil(((1, 0.4), (0, 0.3), (2, 0.2), (3, 0.1))),
     ])
@@ -510,7 +508,7 @@ def _scalar_error(mesh, base):
     in vertex order and stops at the first error.
     """
     pnps = [Pnp(mesh.vertices[i], mesh.normals[i]) for i in range(mesh.vertex_count)]
-    for i, st in enumerate(refinement_step(mesh, base).stencils):
+    for i, st in enumerate(_stencils(mesh, base)):
         plan = compile_plan(st)
         folded = []  # the input vertex of every fold step begun
 

@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from pnpsubdiv import (
+from oracle import (
     AvgPlan,
-    Pnp,
     Stencil,
+    ZeroWeightError,
     affine_average,
-    circle_avg_3d,
+    as_stencils,
+    as_table,
     compile_plan,
     evaluate_plan,
 )
-from pnpsubdiv.errors import AffineWeightError, ZeroWeightError
+from pnpsubdiv import Pnp, circle_avg_3d
+from pnpsubdiv.errors import AffineWeightError
 from pnpsubdiv.stencil import StencilTable, compile_table
 
 
@@ -29,16 +31,6 @@ def test_stencil_rejects_bad_weights():
         Stencil(((0, math.nan), (1, 1.0)))
 
 
-def _table(stencils):
-    """The StencilTable with ``stencils`` as its rows, bypassing :meth:`StencilTable.merged`."""
-    terms = [t for st in stencils for t in sorted(st.terms)]
-    return StencilTable(
-        np.cumsum([0] + [len(st.terms) for st in stencils]),
-        np.array([i for i, _ in terms], dtype=np.intp),
-        np.array([w for _, w in terms], dtype=float),
-    )
-
-
 def _merged(count, terms):
     """``StencilTable.merged`` of ``(row, index, weight)`` triples."""
     rows, index, weight = zip(*terms)
@@ -47,7 +39,7 @@ def _merged(count, terms):
 
 def test_merged_collapses_duplicates_and_zeros():
     table = _merged(1, [(0, 0, 0.5), (0, 1, 0.75), (0, 1, -0.25), (0, 2, 0.125), (0, 2, -0.125)])
-    assert table.stencil(0).terms == ((0, 0.5), (1, 0.5))
+    assert as_stencils(table)[0].terms == ((0, 0.5), (1, 0.5))
 
 
 def test_merged_sorts_rows_and_sums_repeats_in_the_given_order():
@@ -56,8 +48,8 @@ def test_merged_sorts_rows_and_sums_repeats_in_the_given_order():
     assert (0.1 + 0.7) + 0.2 != (0.2 + 0.7) + 0.1
     terms = [(1, 4, w) for w in weights] + [(0, 9, 0.25), (0, 2, 0.75), (1, 3, 0.0)]
     table = _merged(2, terms)
-    assert table.stencil(0).terms == ((2, 0.75), (9, 0.25))
-    assert table.stencil(1).terms == ((4, (0.1 + 0.7) + 0.2),)
+    assert as_stencils(table)[0].terms == ((2, 0.75), (9, 0.25))
+    assert as_stencils(table)[1].terms == ((4, (0.1 + 0.7) + 0.2),)
     assert np.array_equal(table.indptr, [0, 2, 3])
 
 
@@ -218,7 +210,7 @@ def test_compile_table_equals_compile_plan(rng):
     # equal weights tie-broken by index, an identity stencil, negative taps
     stencils += [Stencil(((7, 0.25), (3, 0.25), (5, 0.25), (1, 0.25))), Stencil(((4, 1.0),))]
     stencils += [Stencil(((2, 9 / 16), (0, 9 / 16), (9, -1 / 16), (6, -1 / 16)))]
-    assert _table_plans(compile_table(_table(stencils))) == [compile_plan(st) for st in stencils]
+    assert _table_plans(compile_table(as_table(stencils))) == [compile_plan(st) for st in stencils]
 
 
 def _unchecked(terms):
@@ -240,4 +232,4 @@ def test_compile_rejects_non_positive_partial_sums(terms, message):
     with pytest.raises(AffineWeightError, match=message):
         compile_plan(_unchecked(terms))
     with pytest.raises(AffineWeightError, match=message):
-        compile_table(_table([good, _unchecked(terms)]))
+        compile_table(as_table([good, _unchecked(terms)]))
