@@ -101,9 +101,7 @@ def cmd_metrics(args) -> None:
 def cmd_morph(args) -> None:
     mesh = load_obj(args.input)
     try:
-        nstar = np.array([float(x) for x in args.nstar.split(",")])
-        if nstar.shape != (3,):
-            raise ValueError
+        nstar = np.array(_parse_triple(args.nstar))
     except ValueError:
         raise ValueError(f"--nstar must be three comma-separated numbers, got {args.nstar!r}") from None
     if not np.isfinite(nstar).all():
@@ -151,21 +149,42 @@ def _parse_range(text: str) -> tuple[float, float]:
     return float(lo_text), float(hi_text)
 
 
-def _join_range(argv: list[str]) -> list[str]:
-    """``--range LO:HI`` as ``--range=LO:HI``.
+def _parse_triple(text: str) -> list[float]:
+    values = [float(x) for x in text.split(",")]
+    if len(values) != 3:
+        raise ValueError(f"expected three numbers, got {len(values)}")
+    return values
 
-    argparse reads a separate word starting with ``-``, such as ``-1:1``, as
-    an option, so a negative ``LO`` would need the equals sign. A next word
-    that does not parse as ``LO:HI`` is left for argparse to reject.
+
+# options whose value may start with "-", and the parser a value must pass
+_SIGNED_VALUES = {"--range": _parse_range, "--nstar": _parse_triple}
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """``--range LO:HI`` as ``--range=LO:HI``, ``--nstar X,Y,Z`` as ``--nstar=X,Y,Z``.
+
+    argparse reads a separate word starting with ``-``, such as ``-1:1`` or
+    ``-0.3,0.4,0.8``, as an option, so a negative first number would need
+    the equals sign. An option may be abbreviated as argparse allows. A
+    next word that does not parse as the option's value is left for
+    argparse to reject.
     """
-    for i, word in enumerate(argv[:-1]):
-        if word == "--range":
+    out, i = [], 0
+    while i < len(argv):
+        word = argv[i]
+        name = next((n for n in _SIGNED_VALUES if len(word) > 2 and n.startswith(word)), None)
+        if name is not None and i + 1 < len(argv):
             try:
-                _parse_range(argv[i + 1])
+                _SIGNED_VALUES[name](argv[i + 1])
             except ValueError:
-                return argv
-            return argv[:i] + [f"--range={argv[i + 1]}"] + argv[i + 2 :]
-    return argv
+                pass
+            else:
+                out.append(f"{word}={argv[i + 1]}")
+                i += 2
+                continue
+        out.append(word)
+        i += 1
+    return out
 
 
 def cmd_colorize(args) -> None:
@@ -258,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_join_range(sys.argv[1:] if argv is None else list(argv)))
+        args = parser.parse_args(_join_signed_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

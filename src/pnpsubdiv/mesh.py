@@ -1,9 +1,15 @@
 """Closed-manifold meshes of uniform face arity with optional vertex normals.
 
-A :class:`Mesh` is immutable after construction. Building one validates the
-full topology contract: every face is a triangle or every face is a quad,
-every edge has exactly two incident faces with opposite orientations, and
-the faces around each vertex close into a single umbrella.
+A :class:`Mesh` is immutable after construction. Constructing one, with
+``Mesh(...)`` or :func:`load_obj`, validates the full topology contract:
+every face is a triangle or every face is a quad, every edge has exactly
+two incident faces with opposite orientations, and the faces around each
+vertex close into a single umbrella. Only constructed meshes are validated.
+A refined level inherits its topology from its parent: the 1-to-4 split of
+a valid mesh is valid by construction, and its half-edge arrays follow from
+the parent's by index arithmetic, with no sort and no search
+(:meth:`Mesh._refined`). Its vertices are still checked to be finite and
+its normals to be unit length.
 
 Topology is held as flat half-edge arrays (Botsch et al., *Polygon Mesh
 Processing*, ch. 2). With ``a`` the face arity, corner ``h = a * f + j`` is
@@ -153,8 +159,14 @@ class Mesh:
             fault = "belongs to no face" if valence[p] == 0 else "has more than one face fan"
             raise NonManifoldError(f"vertex {p} {fault}")
 
+        self._store_half_edges(twin, dest)
+
+    def _store_half_edges(self, twin: np.ndarray, dest: np.ndarray):
+        """Store ``twin`` and number the edges by their ``u < v`` half-edges in corner order."""
+        origin = self.origin
+        arity = self.arity
         halves = np.flatnonzero(origin < dest)
-        edge = np.empty(len(h), dtype=np.int64)
+        edge = np.empty(len(origin), dtype=np.int64)
         edge[halves] = np.arange(len(halves))
         edge[twin[halves]] = np.arange(len(halves))
         edges = np.stack([origin[halves], dest[halves]], axis=1)
@@ -163,6 +175,75 @@ class Mesh:
         for name, arr in stored.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    # -- the 1-to-4 split ------------------------------------------------------
+
+    def _split_faces(self) -> np.ndarray:
+        """The faces of the 1-to-4 split, numbering new points as the stencil rows do.
+
+        Points are numbered vertices first, then the point of every edge
+        (``edges`` order), then for quads the point of every face. Piece
+        ``s`` of face ``f`` is child face ``4 f + s``. Triangle ``(a, b, c)``
+        with edge points ``ab, bc, ca`` becomes ``(a, ab, ca), (b, bc, ab),
+        (c, ca, bc), (ab, bc, ca)``. Quad corner ``c_j`` becomes ``(c_j, e_j,
+        center, e_{j-1})``, where ``e_j`` is the point of the edge from
+        ``c_j`` to ``c_{j+1}``.
+        """
+        cols = [self.faces, self.vertex_count + self.edge.reshape(self.faces.shape)]
+        if self.arity == 3:
+            pattern = [[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]]
+        else:
+            cols.append(self.vertex_count + self.edge_count + np.arange(self.face_count)[:, None])
+            pattern = [[0, 4, 8, 7], [1, 5, 8, 4], [2, 6, 8, 5], [3, 7, 8, 6]]
+        return np.concatenate(cols, axis=1)[:, pattern].reshape(-1, self.arity)
+
+    def _refined(self, vertices, faces: np.ndarray, normals=None) -> "Mesh":
+        """The mesh on ``faces``, which are :meth:`_split_faces`, with the
+        given vertices and optional normals.
+
+        The split of a valid closed manifold is one, so the topology is not
+        validated again: the twins follow from this mesh's by index
+        arithmetic (:meth:`_split_twins`). Vertices must still be finite, and
+        normals unit length.
+        """
+        verts = np.asarray(vertices, dtype=float)
+        if not np.isfinite(verts).all():
+            raise ValueError("vertex coordinates must be finite")
+        child = object.__new__(Mesh)
+        object.__setattr__(child, "vertices", verts)
+        object.__setattr__(child, "faces", faces)
+        object.__setattr__(child, "normals", self._checked_normals(normals, len(verts)))
+        child._store_half_edges(self._split_twins(), np.roll(faces, -1, axis=1).reshape(-1))
+        verts.setflags(write=False)
+        faces.setflags(write=False)
+        return child
+
+    def _split_twins(self) -> np.ndarray:
+        """``twin`` of :meth:`_split_faces`, from this mesh's ``twin``.
+
+        Child half-edge ``jj`` of piece ``s`` of face ``f`` is numbered
+        ``4 a f + a s + jj``. Piece ``j`` starts with the first half of the
+        parent half-edge ``(f, j)`` and ends with the second half of
+        ``(f, j - 1)``; with ``(f', j')`` the twin of ``(f, j)``:
+
+        * exterior: ``(f, j, 0)`` and ``(f', (j' + 1) % a, a - 1)``;
+        * interior, triangles: ``(f, j, 1)`` and ``(f, 3, (j - 1) % 3)``;
+        * interior, quads: ``(f, j, 1)`` and ``(f, (j + 1) % 4, 2)``.
+        """
+        a = self.arity
+        n = self.face_count
+        twin_face, twin_corner = np.divmod(self.twin.reshape(n, a), a)
+        base = 4 * a * np.arange(n)[:, None]
+        twin = np.empty((n, 4, a), dtype=np.int64)
+        twin[:, :a, 0] = 4 * a * twin_face + a * ((twin_corner + 1) % a) + a - 1
+        twin[:, :a, a - 1] = np.roll(a * (4 * twin_face + twin_corner), 1, axis=1)
+        if a == 3:
+            twin[:, :3, 1] = base + [11, 9, 10]
+            twin[:, 3] = base + [4, 7, 1]
+        else:
+            twin[:, :, 1] = base + [6, 10, 14, 2]
+            twin[:, :, 2] = base + [13, 1, 5, 9]
+        return twin.reshape(-1)
 
     # -- half-edge arithmetic ---------------------------------------------------
 

@@ -5,8 +5,10 @@ affine stencils over the input vertices, a row per output vertex, plus the
 refined face list. The same table drives both modes:
 
 * ``linear``: the stencil sums are applied to the vertex positions (the
-  classical scheme); naive normals of the refined mesh are attached for
-  display.
+  classical scheme), one ``np.bincount`` per coordinate. Naive normals of
+  the returned mesh are attached for display; the levels in between get
+  none, so a degenerate corner is reported only where it is on the
+  returned mesh.
 * ``modified``: every row is compiled into a chain of weighted binary
   averages and evaluated with the 3D circle average, refining full
   point-normal pairs. A level is folded at once: step ``k`` of every chain
@@ -37,7 +39,10 @@ meshes):
 Stencils read only local topology: one-rings, the two faces of an edge and
 the corners of a face. They are gathered for all output vertices at once
 from the mesh's half-edge arrays (see :mod:`pnpsubdiv.mesh`), and results
-are deterministic.
+are deterministic. The refined faces are the parent's 1-to-4 split
+(:meth:`Mesh._split_faces`), and each refined level takes its half-edge
+arrays from its parent's through that split (:meth:`Mesh._refined`); it is
+not validated again.
 """
 
 from __future__ import annotations
@@ -210,23 +215,6 @@ def _merged_table(count: int, groups) -> StencilTable:
     return StencilTable.merged(count, rows, index, weight)
 
 
-def _split_faces(mesh: Mesh) -> np.ndarray:
-    """The 1-to-4 split, numbering new points as the stencil rows do.
-
-    Triangle ``(a, b, c)`` with edge points ``ab, bc, ca`` becomes
-    ``(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)``. Quad corner
-    ``c_j`` becomes ``(c_j, e_j, center, e_{j-1})``, where ``e_j`` is the
-    point of the edge from ``c_j`` to ``c_{j+1}``.
-    """
-    cols = [mesh.faces, mesh.vertex_count + mesh.edge.reshape(mesh.faces.shape)]
-    if mesh.arity == 3:
-        pattern = [[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]]
-    else:
-        cols.append(mesh.vertex_count + mesh.edge_count + np.arange(mesh.face_count)[:, None])
-        pattern = [[0, 4, 8, 7], [1, 5, 8, 4], [2, 6, 8, 5], [3, 7, 8, 6]]
-    return np.concatenate(cols, axis=1)[:, pattern].reshape(-1, mesh.arity)
-
-
 def refinement_step(mesh: Mesh, base: str) -> RefinementStep:
     """Stencils and refined faces for one application of scheme ``base``."""
     if _ARITY[base] != mesh.arity:
@@ -234,7 +222,7 @@ def refinement_step(mesh: Mesh, base: str) -> RefinementStep:
             f"scheme {base!r} refines arity-{_ARITY[base]} meshes, this mesh has arity {mesh.arity}"
         )
     count = mesh.vertex_count + mesh.edge_count + (mesh.face_count if mesh.arity == 4 else 0)
-    return RefinementStep(_merged_table(count, _TERMS[base](mesh)), _split_faces(mesh))
+    return RefinementStep(_merged_table(count, _TERMS[base](mesh)), mesh._split_faces())
 
 
 # ---------------------------------------------------------------------------
@@ -310,33 +298,43 @@ def _raise_fold_error(
     raise AssertionError(f"output vertex {i} failed the fold but Pnp accepts its average")
 
 
-def refine_once(mesh: Mesh, scheme: SchemeKind) -> Mesh:
-    """Apply one refinement step of ``scheme`` to ``mesh``.
-
-    Linear mode refines positions only and attaches naive normals of the
-    output mesh for display. Modified mode requires input normals and
-    evaluates every stencil as a chain of circle averages, producing both
-    refined points and refined normals.
-    """
+def _refined_level(mesh: Mesh, scheme: SchemeKind) -> Mesh:
+    """One refinement step; linear levels carry no normals."""
     step = refinement_step(mesh, scheme.base)
+    table = step.table
     if not scheme.modified:
-        table = step.table
-        points = np.zeros((len(table), 3))
+        # bincount adds each row's terms to 0.0 one at a time in table order:
+        # the floats of a term-by-term sum
+        terms = table.weight[:, None] * mesh.vertices[table.index]
         rows = np.repeat(np.arange(len(table)), np.diff(table.indptr))
-        np.add.at(points, rows, table.weight[:, None] * mesh.vertices[table.index])
-        out = Mesh(points, step.faces)
-        return out.with_normals(naive_normals(out))
-
+        points = np.stack([np.bincount(rows, terms[:, c], len(table)) for c in range(3)], axis=1)
+        return mesh._refined(points, step.faces)
     if mesh.normals is None:
         raise MissingNormalsError("modified schemes refine point-normal pairs; attach normals")
-    points, normals = _circle_fold(mesh, step.table)
-    return Mesh(points, step.faces, normals=normals)
+    points, normals = _circle_fold(mesh, table)
+    return mesh._refined(points, step.faces, normals)
+
+
+def refine_once(mesh: Mesh, scheme: SchemeKind) -> Mesh:
+    """Apply one refinement step of ``scheme`` to ``mesh``: ``refine(mesh, scheme, 1)``.
+
+    In linear mode the returned mesh carries its naive normals.
+    """
+    return refine(mesh, scheme, 1)
 
 
 def refine(mesh: Mesh, scheme: SchemeKind, iters: int) -> Mesh:
-    """Apply ``iters`` refinement steps (``iters = 0`` returns the input)."""
+    """Apply ``iters`` refinement steps (``iters = 0`` returns the input).
+
+    Linear mode refines positions only and attaches naive normals of the
+    returned mesh for display; the levels in between carry none. Modified
+    mode requires input normals and evaluates every stencil as a chain of
+    circle averages, producing both refined points and refined normals.
+    """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
     for _ in range(iters):
-        mesh = refine_once(mesh, scheme)
+        mesh = _refined_level(mesh, scheme)
+    if iters and not scheme.modified:
+        mesh = mesh.with_normals(naive_normals(mesh))
     return mesh

@@ -125,6 +125,9 @@ CLI_TABLE = [
     ("open-mesh", "normals --input {open} --output {out}/n.obj", cli.EXIT_TOPOLOGY, []),
     ("mixed-arity", "normals --input {mixed} --output {out}/n.obj", cli.EXIT_TOPOLOGY, []),
     ("collinear-corner", "normals --input {collinear} --output {out}/n.obj", cli.EXIT_NUMERIC, []),
+    ("refine-collinear-corner",
+     "refine --input {collinear} --output {out}/r.obj --scheme by --iters 2", cli.EXIT_NUMERIC, []),
+    ("morph-nstar-word", f"{MORPH} -0.3,0.4,0.8", cli.EXIT_OK, MORPHED),
 ]
 
 
@@ -147,6 +150,27 @@ def test_colorize_range_as_a_separate_word_writes_the_same_bytes(cli_inputs):
         argv = ["colorize", "--input", cli_inputs["tri"], *flag, "--output", str(out / name)]
         assert cli.main(argv) == cli.EXIT_OK
     assert (out / "joined").read_bytes() == (out / "separate").read_bytes()
+
+
+@pytest.mark.parametrize("nstar", ["-0.3,0.4,0.8", "-1,-1,-1"])
+def test_morph_nstar_as_a_separate_word_writes_the_same_bytes(cli_inputs, nstar):
+    out = Path(cli_inputs["out"])
+    written = []
+    for name, flag in (("joined", [f"--nstar={nstar}"]), ("separate", ["--nstar", nstar])):
+        argv = ["morph", "--input", cli_inputs["tri"], *flag, "--outdir", str(out / name),
+                "--steps", "3", "--iters", "1"]
+        assert cli.main(argv) == cli.EXIT_OK
+        written.append(_files(out / name))
+    assert len(written[0]) == 4
+    assert written[0] == written[1]
+
+
+def test_signed_values_join_abbreviated_options_and_leave_other_words():
+    joined = cli._join_signed_values(
+        ["colorize", "--ran", "-1:1", "morph", "--ns", "-1,0,0", "--nstar", "-1,0", "--range", "-x"]
+    )
+    assert joined == ["colorize", "--ran=-1:1", "morph", "--ns=-1,0,0", "--nstar", "-1,0",
+                      "--range", "-x"]
 
 
 def test_morph_names_the_vertex_and_step_of_an_antipodal_blend(cli_inputs, caplog):

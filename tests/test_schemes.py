@@ -5,7 +5,10 @@ import pytest
 
 from meshes import (
     cube,
+    flat_cube,
+    flat_tri_octa,
     icosahedron,
+    lumpy_tube,
     octahedron,
     one_ring,
     quad_sphere,
@@ -19,7 +22,12 @@ from meshes import (
 )
 from oracle import Stencil, affine_average, as_stencils, as_table, compile_plan, evaluate_plan
 from pnpsubdiv import Mesh, Pnp, SchemeKind, circle_avg_3d, naive_normals, refine, refine_once
-from pnpsubdiv.errors import AntipodalNormalsError, ArityMismatchError, MissingNormalsError
+from pnpsubdiv.errors import (
+    AntipodalNormalsError,
+    ArityMismatchError,
+    DegenerateCornerError,
+    MissingNormalsError,
+)
 from pnpsubdiv.schemes import _ARITY, _TERMS, _circle_fold, refinement_step
 
 ALL_BASES = ["cc", "lp", "k4", "by"]
@@ -168,6 +176,71 @@ def test_linear_positions_equal_the_term_walk(base):
         want = _affine_positions(as_stencils(step.table), mesh.vertices)
         assert np.array_equal(out.vertices, want)
         assert np.array_equal(out.faces, step.faces)
+
+
+# every closed test mesh, by arity; valence 3 (tetrahedron, cube, quad sphere),
+# 5 (icosahedron, tri sphere) and 6 or more (tori, lumpy tube, split octahedron)
+_CLOSED_MESHES = {
+    3: [tetrahedron, octahedron, icosahedron, lambda: tri_sphere(1), lambda: flat_tri_octa(1),
+        lambda: torus_tri(6, 4), lambda: lumpy_tube(8, 4)],
+    4: [cube, lambda: quad_sphere(1), lambda: flat_cube(1), lambda: torus_quad(6, 4),
+        lambda: torus_quad(3, 3)],
+}
+
+
+@pytest.mark.parametrize("base", ALL_BASES)
+def test_refined_topology_equals_the_validated_build(base):
+    """Refined levels derive their half-edges from the parent; ``Mesh(...)`` on
+    the same vertices and faces builds and validates them from scratch."""
+    for mesh_fn in _CLOSED_MESHES[_ARITY[base]]:
+        mesh = mesh_fn()
+        for level in range(1, 4):
+            mesh = refine(mesh, SchemeKind(base), 1)
+            built = Mesh(mesh.vertices, mesh.faces)
+            for name in ("twin", "edge", "edges", "edge_faces"):
+                assert np.array_equal(getattr(mesh, name), getattr(built, name)), (level, name)
+
+
+def _term_by_term(table, vertices):
+    """Every row of ``table`` applied to ``vertices``, its terms summed one at a time from 0.0."""
+    out = np.empty((len(table), 3))
+    for i in range(len(table)):
+        acc = np.zeros(3)
+        for k in range(table.indptr[i], table.indptr[i + 1]):
+            acc = acc + table.weight[k] * vertices[table.index[k]]
+        out[i] = acc
+    return out
+
+
+def _validated_chain(mesh, base, levels):
+    """``levels`` linear steps, each level built with ``Mesh(points, faces)``."""
+    for _ in range(levels):
+        step = refinement_step(mesh, base)
+        mesh = Mesh(_term_by_term(step.table, mesh.vertices), step.faces)
+    return mesh
+
+
+@pytest.mark.parametrize("base", ALL_BASES)
+def test_linear_refine_equals_a_chain_of_validated_levels(base):
+    for mesh_fn in _CLOSED_MESHES[_ARITY[base]][:3]:
+        mesh = mesh_fn()
+        out = refine(mesh, SchemeKind(base), 3)
+        want = _validated_chain(mesh, base, 3)
+        assert np.array_equal(out.vertices, want.vertices)
+        assert np.array_equal(out.faces, want.faces)
+        assert np.array_equal(out.normals, naive_normals(want))
+
+
+def test_linear_refine_with_a_collinear_last_level_names_the_vertex():
+    # vertex 3 sits on the edge 0-1; the butterfly keeps every input vertex
+    # in place, so each level has a collinear wedge at vertex 0
+    flat = Mesh([[0, 0, 0], [2, 0, 0], [0, 2, 0], [1, 0, 0]], tetrahedron().faces)
+    for levels in (1, 2):
+        with pytest.raises(DegenerateCornerError) as want:
+            naive_normals(_validated_chain(flat, "by", levels))
+        with pytest.raises(DegenerateCornerError) as got:
+            refine(flat, SchemeKind("by"), levels)
+        assert str(got.value) == str(want.value) == "collinear wedge at vertex 0"
 
 
 # ---------------------------------------------------------------------------
