@@ -16,7 +16,15 @@ The first step uses ``nstar`` at every vertex and the last the naive
 normals, exactly, so these two always succeed. The steps in between are
 undefined where ``nstar`` is opposite a naive normal: with more than two
 steps that is a numeric degeneracy naming the lowest such vertex and step
-1, raised before any file is written.
+1, raised before any file is written. Only the normals change between
+steps, so one :class:`~pnpsubdiv.schemes.Refiner` builds the stencil
+tables, plans and refined topology of every level once for all steps.
+
+``compare`` refines the input with every scheme of ``--schemes`` in linear
+and in modified mode, and reports ψ and ζ* of each result. Every name is
+checked before anything is refined. An input without normals gets its
+naive normals once, for all modified runs, and each scheme's two modes
+share one ``Refiner``.
 
 Exit codes: 0 success, 2 usage error, 3 file or parse error, 4 mesh
 topology error, 5 numeric degeneracy.
@@ -47,7 +55,7 @@ from .errors import (
 from .geom import _angle_rows, _slerp_rows
 from .mesh import Mesh, _atomic_write, load_obj, naive_normals, save_obj, save_ply
 from .metrics import curvature, curvature_colors, measure, normal_deviation
-from .schemes import SchemeKind, refine
+from .schemes import Refiner, SchemeKind, refine
 
 log = logging.getLogger("pnpsubdiv")
 
@@ -115,7 +123,6 @@ def cmd_morph(args) -> None:
     if args.steps < 2:
         raise ValueError("--steps must be at least 2")
 
-    scheme = SchemeKind(args.scheme, modified=True)
     target = naive_normals(mesh)
     ends = tuple(target.T)
     theta, antipodal, _, _ = _angle_rows(nstar, ends)
@@ -125,6 +132,7 @@ def cmd_morph(args) -> None:
             f"normal of vertex {np.argmax(antipodal)}, so morph step 1 "
             f"(mu={1 / (args.steps - 1):.6g}) has no blend"
         )
+    refiner = Refiner(mesh, args.scheme, args.iters)
     os.makedirs(args.outdir, exist_ok=True)
     rows = ["mu,xi_deg"]
     for i in range(args.steps):
@@ -135,7 +143,7 @@ def cmd_morph(args) -> None:
             blended = target
         else:
             blended = np.stack(_slerp_rows(nstar, ends, mu, theta), axis=1)
-        refined = refine(mesh.with_normals(blended), scheme, args.iters)
+        refined = refiner.evaluate(mesh.with_normals(blended), modified=True)
         out_path = os.path.join(args.outdir, f"morph_{i:03d}.obj")
         save_obj(refined, out_path)
         xi = normal_deviation(refined)
@@ -198,16 +206,17 @@ def cmd_colorize(args) -> None:
 
 
 def cmd_compare(args) -> None:
-    bases = [s for s in args.schemes.split(",") if s]
+    bases = [SchemeKind(s).base for s in args.schemes.split(",") if s]
     if not bases:
         raise ValueError("--schemes must name at least one scheme")
     mesh = load_obj(args.input)
+    paired = _with_normals(mesh)
     results = {}
     for base in bases:
+        refiner = Refiner(mesh, base, args.iters)
         for modified in (False, True):
             scheme = SchemeKind(base, modified=modified)
-            work = _with_normals(mesh) if modified else mesh
-            refined = refine(work, scheme, args.iters)
+            refined = refiner.evaluate(paired if modified else mesh, modified)
             report = measure(refined)
             results[scheme.name] = {
                 "psi_deg": report.psi_deg,

@@ -8,7 +8,7 @@ vertex close into a single umbrella. Only constructed meshes are validated.
 A refined level inherits its topology from its parent: the 1-to-4 split of
 a valid mesh is valid by construction, and its half-edge arrays follow from
 the parent's by index arithmetic, with no sort and no search
-(:meth:`Mesh._refined`). Its vertices are still checked to be finite and
+(:meth:`Mesh._split_topology`). Its vertices are still checked to be finite and
 its normals to be unit length.
 
 Topology is held as flat half-edge arrays (Botsch et al., *Polygon Mesh
@@ -159,21 +159,7 @@ class Mesh:
             fault = "belongs to no face" if valence[p] == 0 else "has more than one face fan"
             raise NonManifoldError(f"vertex {p} {fault}")
 
-        self._store_half_edges(twin, dest)
-
-    def _store_half_edges(self, twin: np.ndarray, dest: np.ndarray):
-        """Store ``twin`` and number the edges by their ``u < v`` half-edges in corner order."""
-        origin = self.origin
-        arity = self.arity
-        halves = np.flatnonzero(origin < dest)
-        edge = np.empty(len(origin), dtype=np.int64)
-        edge[halves] = np.arange(len(halves))
-        edge[twin[halves]] = np.arange(len(halves))
-        edges = np.stack([origin[halves], dest[halves]], axis=1)
-        edge_faces = np.stack([halves // arity, twin[halves] // arity], axis=1)
-        stored = {"edges": edges, "edge_faces": edge_faces, "twin": twin, "edge": edge}
-        for name, arr in stored.items():
-            arr.setflags(write=False)
+        for name, arr in _half_edge_arrays(faces, twin, dest).items():
             object.__setattr__(self, name, arr)
 
     # -- the 1-to-4 split ------------------------------------------------------
@@ -197,25 +183,34 @@ class Mesh:
             pattern = [[0, 4, 8, 7], [1, 5, 8, 4], [2, 6, 8, 5], [3, 7, 8, 6]]
         return np.concatenate(cols, axis=1)[:, pattern].reshape(-1, self.arity)
 
-    def _refined(self, vertices, faces: np.ndarray, normals=None) -> "Mesh":
-        """The mesh on ``faces``, which are :meth:`_split_faces`, with the
-        given vertices and optional normals.
+    def _split_topology(self) -> dict:
+        """Faces and half-edge arrays of the 1-to-4 split, read-only, by slot name.
 
-        The split of a valid closed manifold is one, so the topology is not
-        validated again: the twins follow from this mesh's by index
-        arithmetic (:meth:`_split_twins`). Vertices must still be finite, and
-        normals unit length.
+        The split of a valid closed manifold is one, so nothing is validated:
+        the faces are :meth:`_split_faces` and the twins follow from this
+        mesh's by index arithmetic (:meth:`_split_twins`). The arrays depend
+        on the faces only; :meth:`_on_topology` puts vertices on them.
+        """
+        faces = self._split_faces()
+        return _half_edge_arrays(faces, self._split_twins(), np.roll(faces, -1, axis=1).reshape(-1))
+
+    @staticmethod
+    def _on_topology(topology: dict, vertices, normals=None) -> "Mesh":
+        """The mesh with ``vertices`` and optional ``normals`` on ``topology``
+        (:meth:`_split_topology` of its parent), which it shares.
+
+        The topology is not validated again. Vertices must still be finite,
+        and normals unit length.
         """
         verts = np.asarray(vertices, dtype=float)
         if not np.isfinite(verts).all():
             raise ValueError("vertex coordinates must be finite")
         child = object.__new__(Mesh)
         object.__setattr__(child, "vertices", verts)
-        object.__setattr__(child, "faces", faces)
-        object.__setattr__(child, "normals", self._checked_normals(normals, len(verts)))
-        child._store_half_edges(self._split_twins(), np.roll(faces, -1, axis=1).reshape(-1))
+        object.__setattr__(child, "normals", Mesh._checked_normals(normals, len(verts)))
+        for name, arr in topology.items():
+            object.__setattr__(child, name, arr)
         verts.setflags(write=False)
-        faces.setflags(write=False)
         return child
 
     def _split_twins(self) -> np.ndarray:
@@ -305,6 +300,24 @@ class Mesh:
             object.__setattr__(other, slot, getattr(self, slot))
         object.__setattr__(other, "normals", checked)
         return other
+
+
+def _half_edge_arrays(faces: np.ndarray, twin: np.ndarray, dest: np.ndarray) -> dict:
+    """``faces``, ``twin``, and the edges numbered by their ``u < v`` half-edges
+    in corner order (``edge``, ``edges``, ``edge_faces``), read-only, by slot name.
+    """
+    origin = faces.reshape(-1)
+    arity = faces.shape[1]
+    halves = np.flatnonzero(origin < dest)
+    edge = np.empty(len(origin), dtype=np.int64)
+    edge[halves] = np.arange(len(halves))
+    edge[twin[halves]] = np.arange(len(halves))
+    edges = np.stack([origin[halves], dest[halves]], axis=1)
+    edge_faces = np.stack([halves // arity, twin[halves] // arity], axis=1)
+    stored = {"faces": faces, "twin": twin, "edge": edge, "edges": edges, "edge_faces": edge_faces}
+    for arr in stored.values():
+        arr.setflags(write=False)
+    return stored
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +498,15 @@ def _atomic_write(path, data: bytes):
     os.replace(tmp, path)
 
 
+def _records(fmt: str, rows: np.ndarray) -> str:
+    """``fmt`` applied to every row of ``rows``, with one ``%`` over the whole array.
+
+    ``%.9g`` formats a float with the same routine as ``{:.9g}``, and ``%d``
+    a Python int as ``{}`` does.
+    """
+    return (fmt * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def save_obj(mesh: Mesh, path) -> None:
     """Write ``mesh`` as an OBJ file (9 significant digits, atomic replace).
 
@@ -492,15 +514,14 @@ def save_obj(mesh: Mesh, path) -> None:
     vertex list and referenced as ``f v//vn``; a save/load round trip
     preserves the mesh to better than 1e-9 relative.
     """
-    lines = ["v {:.9g} {:.9g} {:.9g}".format(*row) for row in mesh.vertices.tolist()]
+    blocks = [_records("v %.9g %.9g %.9g\n", mesh.vertices)]
+    faces = mesh.faces + 1
     if mesh.normals is not None:
-        lines += ["vn {:.9g} {:.9g} {:.9g}".format(*row) for row in mesh.normals.tolist()]
-        face = "f " + " ".join(f"{{{j}}}//{{{j}}}" for j in range(mesh.arity))
+        blocks.append(_records("vn %.9g %.9g %.9g\n", mesh.normals))
+        blocks.append(_records("f" + " %d//%d" * mesh.arity + "\n", np.repeat(faces, 2, axis=1)))
     else:
-        face = "f " + " ".join("{}" for _ in range(mesh.arity))
-    lines += [face.format(*row) for row in (mesh.faces + 1).tolist()]
-    lines.append("")
-    _atomic_write(path, "\n".join(lines).encode("utf-8"))
+        blocks.append(_records("f" + " %d" * mesh.arity + "\n", faces))
+    _atomic_write(path, "".join(blocks).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +564,14 @@ def save_ply(mesh: Mesh, path, colors=None, binary: bool = False) -> None:
         body = vertex_rows.tobytes() + face_rows.tobytes()
         data = ("\n".join(header) + "\n").encode("ascii") + body
     else:
-        lines = list(header)
-        vertex = "{:.9g} {:.9g} {:.9g}" + ("" if colors is None else " {} {} {}")
-        rgb = [()] * n if colors is None else colors.tolist()
-        lines += [vertex.format(*p, *c) for p, c in zip(mesh.vertices.tolist(), rgb)]
-        face = f"{mesh.arity} " + " ".join("{}" for _ in range(mesh.arity))
-        lines += [face.format(*row) for row in mesh.faces.tolist()]
-        lines.append("")
-        data = "\n".join(lines).encode("ascii")
+        vertex = "%.9g %.9g %.9g\n"
+        rows = mesh.vertices
+        if colors is not None:
+            vertex = "%.9g %.9g %.9g %d %d %d\n"
+            rows = np.empty((n, 6), dtype=object)  # floats and ints, as Python numbers
+            rows[:, :3] = mesh.vertices
+            rows[:, 3:] = colors
+        face = f"{mesh.arity}" + " %d" * mesh.arity + "\n"
+        body = _records(vertex, rows) + _records(face, mesh.faces)
+        data = ("\n".join(header) + "\n" + body).encode("ascii")
     _atomic_write(path, data)

@@ -41,14 +41,21 @@ the corners of a face. They are gathered for all output vertices at once
 from the mesh's half-edge arrays (see :mod:`pnpsubdiv.mesh`), and results
 are deterministic. The refined faces are the parent's 1-to-4 split
 (:meth:`Mesh._split_faces`), and each refined level takes its half-edge
-arrays from its parent's through that split (:meth:`Mesh._refined`); it is
-not validated again.
+arrays from its parent's through that split (:meth:`Mesh._split_topology`);
+it is not validated again.
+
+A level's stencil table, refined topology and plans depend on the parent's
+faces only, never on its vertices or normals. A :class:`Refiner` builds
+them once per level and evaluates them on any number of vertex and normal
+sets, which is how normals edit a fixed mesh; :func:`refine` walks the same
+levels and keeps only the current one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NoReturn
 
 import numpy as np
@@ -59,7 +66,7 @@ from .geom import Pnp, _invalid_pnp_rows
 from .mesh import Mesh, naive_normals
 from .stencil import PlanTable, StencilTable, compile_table
 
-__all__ = ["SchemeKind", "RefinementStep", "refinement_step", "refine_once", "refine"]
+__all__ = ["SchemeKind", "RefinementStep", "Refiner", "refinement_step", "refine_once", "refine"]
 
 _ARITY = {"cc": 4, "lp": 3, "by": 3, "k4": 4}
 _INTERPOLATORY = frozenset({"by", "k4"})
@@ -91,10 +98,23 @@ class SchemeKind:
 
 @dataclass(frozen=True)
 class RefinementStep:
-    """One topological refinement: the stencil table of the output vertices and the new faces."""
+    """One topological refinement: the stencil table of the output vertices and
+    the refined mesh's topology (:meth:`Mesh._split_topology`).
+
+    Both depend on the parent's faces only, and so do the plans of the table,
+    compiled the first time a modified evaluation needs them.
+    """
 
     table: StencilTable
-    faces: np.ndarray
+    topology: dict
+
+    @property
+    def faces(self) -> np.ndarray:
+        return self.topology["faces"]
+
+    @cached_property
+    def plans(self) -> PlanTable:
+        return compile_table(self.table)
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +242,16 @@ def refinement_step(mesh: Mesh, base: str) -> RefinementStep:
             f"scheme {base!r} refines arity-{_ARITY[base]} meshes, this mesh has arity {mesh.arity}"
         )
     count = mesh.vertex_count + mesh.edge_count + (mesh.face_count if mesh.arity == 4 else 0)
-    return RefinementStep(_merged_table(count, _TERMS[base](mesh)), mesh._split_faces())
+    return RefinementStep(_merged_table(count, _TERMS[base](mesh)), mesh._split_topology())
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _circle_fold(mesh: Mesh, table: StencilTable) -> tuple[np.ndarray, np.ndarray]:
-    """Points and normals of every row of ``table``, folded with the circle average.
+def _circle_fold(mesh: Mesh, table: StencilTable, plans: PlanTable) -> tuple[np.ndarray, np.ndarray]:
+    """Points and normals of every row of ``table``, folded with the circle
+    average along ``plans``, its :func:`compile_table`.
 
     Step ``k`` of every plan is one call of the row-wise circle average,
     whose masks give the fold step each plan first fails on and why. When
@@ -242,7 +263,6 @@ def _circle_fold(mesh: Mesh, table: StencilTable) -> tuple[np.ndarray, np.ndarra
     bad = np.flatnonzero(_invalid_pnp_rows(points, normals))
     if len(bad):
         Pnp(mesh.vertices[bad[0]], mesh.normals[bad[0]])  # raises the constructor's error
-    plans = compile_table(table)
     pts = points[:, plans.first]
     nms = normals[:, plans.first]
     failed_at = np.zeros(len(table), dtype=np.int64)  # fold step of each plan's first failure
@@ -298,21 +318,71 @@ def _raise_fold_error(
     raise AssertionError(f"output vertex {i} failed the fold but Pnp accepts its average")
 
 
-def _refined_level(mesh: Mesh, scheme: SchemeKind) -> Mesh:
-    """One refinement step; linear levels carry no normals."""
-    step = refinement_step(mesh, scheme.base)
+def _refined_level(mesh: Mesh, step: RefinementStep, modified: bool) -> Mesh:
+    """``step`` evaluated on ``mesh``'s geometry; linear levels carry no normals."""
     table = step.table
-    if not scheme.modified:
+    if not modified:
         # bincount adds each row's terms to 0.0 one at a time in table order:
         # the floats of a term-by-term sum
         terms = table.weight[:, None] * mesh.vertices[table.index]
         rows = np.repeat(np.arange(len(table)), np.diff(table.indptr))
         points = np.stack([np.bincount(rows, terms[:, c], len(table)) for c in range(3)], axis=1)
-        return mesh._refined(points, step.faces)
+        return Mesh._on_topology(step.topology, points)
     if mesh.normals is None:
         raise MissingNormalsError("modified schemes refine point-normal pairs; attach normals")
-    points, normals = _circle_fold(mesh, table)
-    return mesh._refined(points, step.faces, normals)
+    points, normals = _circle_fold(mesh, table, step.plans)
+    return Mesh._on_topology(step.topology, points, normals)
+
+
+def _walk(mesh: Mesh, iters: int, modified: bool, step_at) -> Mesh:
+    """``iters`` levels of ``mesh``, level ``k``'s step being ``step_at(k, parent)``.
+
+    In linear mode the returned mesh carries its naive normals.
+    """
+    for level in range(iters):
+        mesh = _refined_level(mesh, step_at(level, mesh), modified)
+    if iters and not modified:
+        mesh = mesh.with_normals(naive_normals(mesh))
+    return mesh
+
+
+class Refiner:
+    """``iters`` levels of scheme ``base`` on the topology of ``mesh``, built
+    once and evaluated on any number of vertex and normal sets.
+
+    Per level it keeps the :class:`RefinementStep`: the stencil table, the
+    refined faces and half-edge arrays, and the plans once a modified
+    evaluation has compiled them. They depend on the faces only. The first
+    level is built from ``mesh``, so a wrong arity raises here; each deeper
+    level the first time an evaluation reaches it, from that evaluation's
+    parent level.
+    """
+
+    def __init__(self, mesh: Mesh, base: str, iters: int):
+        if iters < 0:
+            raise ValueError("iters must be nonnegative")
+        self.base = SchemeKind(base).base
+        self.iters = iters
+        self._vertex_count = mesh.vertex_count
+        self._faces = mesh.faces
+        self._steps = [refinement_step(mesh, base)] if iters else []
+
+    def evaluate(self, mesh: Mesh, modified: bool) -> Mesh:
+        """``refine(mesh, SchemeKind(base, modified), iters)``, bit for bit,
+        on the stored topology; ``mesh`` must have this refiner's vertex count
+        and faces.
+        """
+        if mesh.vertex_count != self._vertex_count or not np.array_equal(mesh.faces, self._faces):
+            raise ValueError(
+                f"mesh has {mesh.vertex_count} vertices and {mesh.face_count} faces; this refiner "
+                f"refines {self._vertex_count} vertices on its own {len(self._faces)} faces"
+            )
+        return _walk(mesh, self.iters, modified, self._step_at)
+
+    def _step_at(self, level: int, parent: Mesh) -> RefinementStep:
+        if level == len(self._steps):
+            self._steps.append(refinement_step(parent, self.base))
+        return self._steps[level]
 
 
 def refine_once(mesh: Mesh, scheme: SchemeKind) -> Mesh:
@@ -330,11 +400,9 @@ def refine(mesh: Mesh, scheme: SchemeKind, iters: int) -> Mesh:
     returned mesh for display; the levels in between carry none. Modified
     mode requires input normals and evaluates every stencil as a chain of
     circle averages, producing both refined points and refined normals.
+    The levels are those of a :class:`Refiner`, each built from its parent
+    and dropped once the next is refined.
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
-    for _ in range(iters):
-        mesh = _refined_level(mesh, scheme)
-    if iters and not scheme.modified:
-        mesh = mesh.with_normals(naive_normals(mesh))
-    return mesh
+    return _walk(mesh, iters, scheme.modified, lambda _, parent: refinement_step(parent, scheme.base))

@@ -18,8 +18,11 @@ Mesh refinement keeps a whole level in one CSR :class:`StencilTable`, and
 :func:`compile_table` yields every row's element order and binary weights as
 arrays, so a level is folded as a few vector steps. The scalar reference,
 which compiles and folds one stencil at a time, lives in the test suite
-(``tests/oracle.py``); the tests require the same floats from both. Nothing
-is cached: stencils hold absolute vertex indices, so almost none repeat.
+(``tests/oracle.py``); the tests require the same floats from both. No
+stencil or plan is cached by its content: stencils hold absolute vertex
+indices, so almost none repeat. A level's table and its plans depend on
+topology only, so :class:`~pnpsubdiv.schemes.Refiner` builds them once per
+level and evaluates them on any number of vertex and normal sets.
 """
 
 from __future__ import annotations

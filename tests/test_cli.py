@@ -1,3 +1,4 @@
+import logging
 import warnings
 from pathlib import Path
 
@@ -188,11 +189,11 @@ def test_morph_blends_equal_the_per_vertex_geodesic_average(tmp_path, monkeypatc
     target = naive_normals(mesh)
     seen = []
 
-    def record(blended, scheme, iters):
+    def record(refiner, blended, modified):
         seen.append(blended.normals)
         return blended
 
-    monkeypatch.setattr(cli, "refine", record)
+    monkeypatch.setattr(cli.Refiner, "evaluate", record)
     # random directions, and one naive normal itself: theta = 0 on its vertex
     for nstar in [rng.normal(size=3) for _ in range(3)] + [target[5]]:
         seen.clear()
@@ -206,3 +207,20 @@ def test_morph_blends_equal_the_per_vertex_geodesic_average(tmp_path, monkeypatc
         for i, normals in enumerate(seen[1:-1], start=1):
             want = [geodesic_avg(unit, t, i / (steps - 1)) for t in target]
             assert np.array_equal(normals, mesh.with_normals(want).normals)
+
+
+def test_compare_checks_every_scheme_name_before_refining(cli_inputs, monkeypatch, caplog):
+    built = []
+    monkeypatch.setattr(cli, "Refiner", lambda *args: built.append(args))
+    argv = ["compare", "--input", cli_inputs["tri"], "--schemes", "lp,zz"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert built == []
+    assert "unknown scheme 'zz'" in caplog.text
+
+
+def test_compare_computes_naive_normals_once(cli_inputs, caplog):
+    caplog.set_level(logging.INFO, logger="pnpsubdiv")
+    argv = ["compare", "--input", cli_inputs["quad"], "--schemes", "cc,k4", "--iters", "1",
+            "--json", str(Path(cli_inputs["out"]) / "c.json")]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert caplog.text.count("input has no normals; computing naive normals") == 1

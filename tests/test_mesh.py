@@ -271,15 +271,16 @@ def test_obj_roundtrip_with_normals(tmp_path):
 
 
 def _extreme_mesh(arity):
-    """A mesh whose coordinates and normals carry -0.0, 1e-300, 1e300 and mixed signs."""
+    """A mesh whose coordinates and normals carry -0.0, 5e-324, 1e-300, 1e300,
+    123456789.5 and mixed signs."""
     m = tetrahedron() if arity == 3 else cube()
     extremes = np.array([
-        [-0.0, 1e-300, 1e300], [1.5, -2.25, 3e-7], [-1e300, 0.1, -0.0],
+        [-0.0, 1e-300, 1e300], [1.5, 5e-324, 123456789.5], [-1e300, 0.1, -0.0],
         [123456789.123, -1e-300, 7.0], [-1e-300, 0.0, -123.456], [2.0 / 3.0, -1.0 / 3.0, 1e-5],
         [-7.25e12, 0.5, -0.0], [1.0, -1.0, 1e299],
     ])
     n = np.array([
-        [-0.0, 0.0, 1.0], [0.6, -0.8, -0.0], [-0.0, -1.0, 0.0], [1.0, -0.0, -0.0],
+        [-0.0, 5e-324, 1.0], [0.6, -0.8, -0.0], [-0.0, -1.0, 0.0], [1.0, -0.0, -0.0],
         [0.0, 0.6, -0.8], [-0.48, 0.64, 0.6], [0.8, 0.0, -0.6], [-1.0, 0.0, 0.0],
     ])
     k = m.vertex_count

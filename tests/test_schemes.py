@@ -28,7 +28,8 @@ from pnpsubdiv.errors import (
     DegenerateCornerError,
     MissingNormalsError,
 )
-from pnpsubdiv.schemes import _ARITY, _TERMS, _circle_fold, refinement_step
+from pnpsubdiv.schemes import _ARITY, _TERMS, Refiner, _circle_fold, refinement_step
+from pnpsubdiv.stencil import compile_table
 
 ALL_BASES = ["cc", "lp", "k4", "by"]
 
@@ -453,7 +454,7 @@ def test_modified_refine_equals_scalar_oracle(base, normal_kind, rng):
         want = [evaluate_plan(compile_plan(st), pnps, circle_avg_3d) for st in stencils]
         points = np.array([r.point for r in want])
         normals = np.array([r.normal for r in want])
-        got_points, got_normals = _circle_fold(mesh, step.table)
+        got_points, got_normals = _circle_fold(mesh, step.table, step.plans)
         assert np.array_equal(got_points, points)
         assert np.array_equal(got_normals, normals)
         out = refine_once(mesh, SchemeKind(base, modified=True))
@@ -461,6 +462,57 @@ def test_modified_refine_equals_scalar_oracle(base, normal_kind, rng):
         assert np.array_equal(out.vertices, ref.vertices)
         assert np.array_equal(out.normals, ref.normals)
         mesh = out
+
+
+# ---------------------------------------------------------------------------
+# the Refiner: one topology, many normal sets
+# ---------------------------------------------------------------------------
+
+def _posed_normal_sets(base, rng):
+    """The posed torus of ``base`` without normals, and three normal sets for it."""
+    mesh = _posed_torus(base, rng, "naive")
+    sets = [mesh.normals] + [_posed_torus(base, rng, kind).normals for kind in ("perturbed", "equal")]
+    return Mesh(mesh.vertices, mesh.faces), sets
+
+
+def _assert_bit_identical(out, want):
+    for name in ("vertices", "normals", "faces", "twin", "edge"):
+        assert np.array_equal(getattr(out, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("modified", [False, True])
+@pytest.mark.parametrize("base", ALL_BASES)
+def test_refiner_evaluations_equal_refine(base, modified, rng):
+    """Three normal sets on one Refiner, each bit for bit a fresh ``refine``."""
+    mesh, sets = _posed_normal_sets(base, rng)
+    for iters in (1, 2, 3):
+        refiner = Refiner(mesh, base, iters)
+        for normals in sets:
+            posed = mesh.with_normals(normals)
+            want = refine(posed, SchemeKind(base, modified), iters)
+            _assert_bit_identical(refiner.evaluate(posed, modified), want)
+
+
+@pytest.mark.parametrize("base", ALL_BASES)
+def test_refiner_raises_as_refine_and_stays_usable(base):
+    bad = _antipodal_at_face(base, 0)
+    scheme = SchemeKind(base, modified=True)
+    refiner = Refiner(bad, base, 2)
+    with pytest.raises(AntipodalNormalsError) as got:
+        refiner.evaluate(bad, modified=True)
+    with pytest.raises(AntipodalNormalsError) as want:
+        refine(bad, scheme, 2)
+    assert str(got.value) == str(want.value)
+    good = bad.with_normals(naive_normals(bad))
+    _assert_bit_identical(refiner.evaluate(good, modified=True), refine(good, scheme, 2))
+
+
+def test_refiner_refuses_a_mesh_with_other_faces():
+    mesh = torus_tri(6, 4)
+    refiner = Refiner(mesh, "lp", 1)
+    for other in (Mesh(mesh.vertices, np.roll(mesh.faces, 1, axis=1)), torus_tri(7, 4)):
+        with pytest.raises(ValueError, match="this refiner refines 24 vertices"):
+            refiner.evaluate(other, modified=False)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +571,7 @@ def test_refined_normals_are_the_fold_output():
     mesh = torus_tri(12, 6)
     mesh = refine_once(mesh.with_normals(naive_normals(mesh)), SchemeKind("lp", modified=True))
     step = refinement_step(mesh, "lp")
-    _, normals = _circle_fold(mesh, step.table)
+    _, normals = _circle_fold(mesh, step.table, step.plans)
     assert np.array_equal(refine_once(mesh, SchemeKind("lp", modified=True)).normals, normals)
 
 
@@ -545,7 +597,7 @@ def test_fold_reports_the_lowest_failing_output_vertex():
         Stencil(((1, 0.4), (0, 0.3), (2, 0.2), (3, 0.1))),
     ])
     with pytest.raises(AntipodalNormalsError, match="output vertex 0 "):
-        _circle_fold(mesh, table)
+        _circle_fold(mesh, table, compile_table(table))
 
 
 def _antipodal_at_face(base, face):
