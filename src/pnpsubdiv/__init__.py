@@ -14,11 +14,9 @@ from .circle3d import circle_avg_3d, deviation_from_chord
 from .geom import (
     Plane,
     Pnp,
-    Tolerances,
     angle_between,
     circle_avg_2d,
     geodesic_avg,
-    get_tolerances,
     z_dir,
 )
 from .mesh import Mesh, load_obj, naive_normals, save_obj, save_ply
@@ -32,7 +30,7 @@ from .metrics import (
     psi_zeta_star,
     zeta,
 )
-from .schemes import SchemeKind, refine, refine_once
+from .schemes import SchemeKind, refine
 
 __version__ = "0.1.0"
 
@@ -42,7 +40,6 @@ __all__ = [
     "Plane",
     "Pnp",
     "SchemeKind",
-    "Tolerances",
     "angle_between",
     "circle_avg_2d",
     "circle_avg_3d",
@@ -51,14 +48,12 @@ __all__ = [
     "deviation_from_chord",
     "dihedral_angles",
     "geodesic_avg",
-    "get_tolerances",
     "load_obj",
     "measure",
     "naive_normals",
     "normal_deviation",
     "psi_zeta_star",
     "refine",
-    "refine_once",
     "save_obj",
     "save_ply",
     "z_dir",

@@ -8,6 +8,10 @@ then offset along ``z`` by the weighted plane distance. Sweeping the weight
 traces a helix whose projection onto the working plane is the planar
 auxiliary arc.
 
+The construction is written once, as the row kernel ``_circle_avg_rows``
+that refines whole mesh levels; :func:`circle_avg_3d` is one row of it. The
+scalar reference the tests hold the kernel to lives in ``tests/oracle.py``.
+
 Also provided is :func:`deviation_from_chord`, the closed-form distance
 between the averaged point and the chord point ``(1 - w) p0 + w p1`` (where
 the averaged point ends up in the limits of parallel normals or of a chord
@@ -22,18 +26,17 @@ import numpy as np
 
 from .errors import AntipodalNormalsError, ParallelNormalsError
 from .geom import (
+    _ANTIPODAL,
+    _THETA_LINEAR,
     Pnp,
-    _angle,
     _angle_rows,
     _arc_point_rows,
-    _avg_in_plane,
     _cross,
     _dot,
     _invalid_pnp_rows,
     _norm,
-    _slerp,
     _slerp_rows,
-    get_tolerances,
+    angle_between,
 )
 
 __all__ = ["circle_avg_3d", "deviation_from_chord"]
@@ -51,36 +54,21 @@ def circle_avg_3d(P0: Pnp, P1: Pnp, w: float) -> Pnp:
     ``p1``. The returned normal is the geodesic average and lies in the
     working plane. Any real ``w`` is accepted.
 
-    Raises :class:`AntipodalNormalsError` when the normals are opposite.
+    This is one row of the kernel that refines whole levels. Raises
+    :class:`AntipodalNormalsError` when the normals are opposite, and
+    ``ValueError`` when the averaged point overflows.
     """
-    tol = get_tolerances()
-    n0 = (P0.normal[0], P0.normal[1], P0.normal[2])
-    n1 = (P1.normal[0], P1.normal[1], P1.normal[2])
-    theta = _angle(n0, n1)
-    if theta >= math.pi - tol.antipodal:
+    pt, nm, antipodal, _ = _circle_avg_rows(
+        P0.point[:, None], P0.normal[:, None], P1.point[:, None], P1.normal[:, None],
+        np.array([w], dtype=float),
+    )
+    if antipodal[0]:
         raise AntipodalNormalsError("circle average undefined for antipodal normals")
     if w == 0.0:
         return P0
     if w == 1.0:
         return P1
-    p0 = (P0.point[0], P0.point[1], P0.point[2])
-    p1 = (P1.point[0], P1.point[1], P1.point[2])
-    if theta < tol.theta_linear:
-        # z is numerically meaningless; take the straight-chord limit
-        pt = (
-            (1.0 - w) * p0[0] + w * p1[0],
-            (1.0 - w) * p0[1] + w * p1[1],
-            (1.0 - w) * p0[2] + w * p1[2],
-        )
-        return Pnp(pt, _slerp(n0, n1, w, theta))
-    c = _cross(n0, n1)
-    cn = _norm(c)
-    zt = (c[0] / cn, c[1] / cn, c[2] / cn)
-    h = _dot((p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]), zt)
-    p1s = (p1[0] - h * zt[0], p1[1] - h * zt[1], p1[2] - h * zt[2])
-    pt, nm = _avg_in_plane(p0, n0, p1s, n1, w, zt, theta)
-    wh = w * h
-    return Pnp((pt[0] + wh * zt[0], pt[1] + wh * zt[1], pt[2] + wh * zt[2]), nm)
+    return Pnp(pt[:, 0], nm[:, 0])
 
 
 def _circle_avg_rows(p0, n0, p1, n1, w):
@@ -91,13 +79,11 @@ def _circle_avg_rows(p0, n0, p1, n1, w):
     arrays and two masks of the rows on which :func:`circle_avg_3d` raises:
     the rows with antipodal normals, where it raises
     :class:`AntipodalNormalsError`, and the rows whose result :class:`Pnp`
-    rejects. The scalar function checks the normals first, so a row in both
-    masks raises the antipodal error. Every other row equals the scalar
-    result bit for bit: the arithmetic repeats the scalar operations in the
-    same order, and the scalar branches (endpoint weights, linear limit,
-    helix) become masks.
+    rejects. :func:`circle_avg_3d` checks the normals first, so a row in both
+    masks raises the antipodal error. The branches of the construction
+    (endpoint weights, linear limit, helix) are masks, and every row equals
+    the scalar reference of the test suite bit for bit.
     """
-    tol = get_tolerances()
     # every branch runs on every row, and the rows a branch is not taken on
     # may divide by zero there; rows that really fail are in the mask
     with np.errstate(all="ignore"):
@@ -116,7 +102,7 @@ def _circle_avg_rows(p0, n0, p1, n1, w):
         wh = w * h
         helix = (arc[0] + wh * zt[0], arc[1] + wh * zt[1], arc[2] + wh * zt[2])
 
-        pt = np.where(theta < tol.theta_linear, linear, helix)
+        pt = np.where(theta < _THETA_LINEAR, linear, helix)
         start, end = w == 0.0, w == 1.0
         pt = np.where(start, p0, np.where(end, p1, pt))
         nm = np.where(start, n0, np.where(end, n1, nm))
@@ -139,13 +125,12 @@ def deviation_from_chord(P0: Pnp, P1: Pnp, w: float) -> float:
     the ratio ``R`` exists only as a limit, and
     :class:`AntipodalNormalsError` for opposite normals.
     """
-    tol = get_tolerances()
     n0 = (P0.normal[0], P0.normal[1], P0.normal[2])
     n1 = (P1.normal[0], P1.normal[1], P1.normal[2])
-    theta = _angle(n0, n1)
-    if theta < tol.theta_linear:
+    theta = angle_between(P0.normal, P1.normal)
+    if theta < _THETA_LINEAR:
         raise ParallelNormalsError("deviation is defined only as a limit for parallel normals")
-    if theta >= math.pi - tol.antipodal:
+    if theta >= math.pi - _ANTIPODAL:
         raise AntipodalNormalsError("deviation undefined for antipodal normals")
     chord = (
         P1.point[0] - P0.point[0],
@@ -153,7 +138,7 @@ def deviation_from_chord(P0: Pnp, P1: Pnp, w: float) -> float:
         P1.point[2] - P0.point[2],
     )
     # phi, the angle between n0 x n1 and the chord, is 0 for a zero chord
-    g = _norm(chord) * math.sin(_angle(_cross(n0, n1), chord))
+    g = _norm(chord) * math.sin(angle_between(_cross(n0, n1), chord))
     r = math.sin(0.5 * w * theta) / math.sin(0.5 * theta)
     ssq = math.sin(0.25 * theta * (1.0 - w))
     dev2 = (w - r) ** 2 + 4.0 * w * r * ssq * ssq

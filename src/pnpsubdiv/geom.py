@@ -13,17 +13,17 @@ elementary vector operations those schemes are built from:
 Everything here is a pure function of immutable values, so results may be
 shared freely across threads.
 
-Vectors are ``numpy`` arrays of shape ``(3,)`` at the API surface; the inner
-arithmetic runs on plain floats, which keeps a single average cheap. Mesh
-refinement evaluates whole levels with the private ``*_rows`` twins of these
-kernels, which repeat the scalar arithmetic operation for operation on
-arrays of components, so both give the same floats.
+Vectors are ``numpy`` arrays of shape ``(3,)`` at the API surface. Each step
+of the circle average is written once, as a row kernel (``_angle_rows``,
+``_slerp_rows``, ``_arc_point_rows``) over triples of component arrays: mesh
+refinement runs them on whole levels, and the public functions run them on
+one row. The scalar reference the tests hold these kernels to lives in
+``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +34,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Tolerances",
-    "get_tolerances",
     "Pnp",
     "Plane",
     "angle_between",
@@ -45,33 +43,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """The fixed numeric thresholds shared by the whole toolkit.
-
-    Every field is an angle or a ratio, never a length, so no check depends
-    on the scale of the coordinates and a refinement commutes with scaling.
-    """
-
-    unit_norm: float = 1e-9       # |norm - 1| allowed for unit vectors
-    cross: float = 1e-12          # relative cross-product norm below which z_dir fails
-    antipodal: float = 1e-9       # pi - angle below which normals count as opposite
-    theta_linear: float = 1e-9    # normal angle below which averaging is linear
-    coincident: float = 1e-12     # norm of a sum of unit wedge normals that counts as cancelled
-    carrier: float = 1e-9         # out-of-plane tilt of a point or normal off the carrier plane
-
-
-_TOL = Tolerances()
-
-
-def get_tolerances() -> Tolerances:
-    """The toolkit's thresholds: one shared, immutable instance."""
-    return _TOL
+# The fixed numeric thresholds shared by the whole toolkit. Each is an angle or
+# a ratio, never a length, so no check depends on the scale of the coordinates
+# and a refinement commutes with scaling.
+_UNIT_NORM = 1e-9       # |norm - 1| allowed for unit vectors
+_CROSS = 1e-12          # relative cross-product norm below which z_dir fails
+_ANTIPODAL = 1e-9       # pi - angle below which normals count as opposite
+_THETA_LINEAR = 1e-9    # normal angle below which averaging is linear
+_COINCIDENT = 1e-12     # norm of a sum of unit wedge normals that counts as cancelled
+_CARRIER = 1e-9         # out-of-plane tilt of a point or normal off the carrier plane
 
 
 # ---------------------------------------------------------------------------
-# scalar kernels (plain floats, numpy only at the boundaries); the private
-# helpers _dot and _cross also take triples of component arrays
+# vector helpers on float triples; _dot and _cross also take triples of
+# component arrays
 # ---------------------------------------------------------------------------
 
 def _dot(a, b):
@@ -90,21 +75,16 @@ def _norm(a):
     return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
 
 
-def _angle(a, b):
-    """Angle in [0, pi] between two nonzero vectors, accurate for tiny angles."""
-    return math.atan2(_norm(_cross(a, b)), _dot(a, b))
-
-
-def _as_triple(v, what="vector"):
+def _as_vector(v, what="vector"):
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"{what} must have shape (3,), got {a.shape}")
-    return a[0], a[1], a[2]
+    return a
 
 
 def _check_unit(t, what):
     n = _norm(t)
-    if not math.isfinite(n) or abs(n - 1.0) > _TOL.unit_norm:
+    if not math.isfinite(n) or abs(n - 1.0) > _UNIT_NORM:
         raise ValueError(f"{what} must be a unit vector (norm {n!r})")
 
 
@@ -148,7 +128,7 @@ def _invalid_pnp_rows(points, normals) -> np.ndarray:
     """
     n = np.sqrt(_dot(normals, normals))
     finite = np.isfinite(points[0]) & np.isfinite(points[1]) & np.isfinite(points[2])
-    return ~finite | ~np.isfinite(n) | (np.abs(n - 1.0) > _TOL.unit_norm)
+    return ~finite | ~np.isfinite(n) | (np.abs(n - 1.0) > _UNIT_NORM)
 
 
 class Plane:
@@ -179,8 +159,10 @@ class Plane:
 # ---------------------------------------------------------------------------
 
 def angle_between(u, v) -> float:
-    """Angle in [0, pi] between two nonzero vectors."""
-    return _angle(_as_triple(u, "u"), _as_triple(v, "v"))
+    """Angle in [0, pi] between two nonzero vectors, accurate for tiny angles."""
+    with np.errstate(all="ignore"):
+        theta = _angle_rows(_as_vector(u, "u")[:, None], _as_vector(v, "v")[:, None])[0]
+    return float(theta[0])
 
 
 def z_dir(u, v) -> np.ndarray:
@@ -190,69 +172,45 @@ def z_dir(u, v) -> np.ndarray:
     below ``cross * |u| * |v|``, i.e. when the inputs are parallel or one of
     them vanishes.
     """
-    ut = _as_triple(u, "u")
-    vt = _as_triple(v, "v")
+    ut = tuple(_as_vector(u, "u"))
+    vt = tuple(_as_vector(v, "v"))
     c = _cross(ut, vt)
     cn = _norm(c)
-    if cn <= _TOL.cross * _norm(ut) * _norm(vt) or cn == 0.0:
+    if cn <= _CROSS * _norm(ut) * _norm(vt) or cn == 0.0:
         raise DegenerateCrossError("cross product direction undefined for (near-)parallel vectors")
     return np.array((c[0] / cn, c[1] / cn, c[2] / cn))
 
 
 def _angle_rows(n0, n1):
-    """:func:`_angle` over rows of unit vectors, with the antipodal mask.
+    """Angles in [0, pi] between rows of vectors, with the antipodal mask.
 
     ``n0`` and ``n1`` are triples of component arrays (either may be one
     vector broadcast over the other's rows). Returns ``theta``, the mask of
     the rows :func:`geodesic_avg` rejects as antipodal, and the cross
     products ``n0 x n1`` with their norms, which the circle average reuses.
-    Each ``theta`` equals the scalar result bit for bit: it is
-    ``math.atan2``, not ``np.arctan2``, whose SIMD loop can differ in the
-    last bit.
+    ``theta`` is ``atan2(|n0 x n1|, n0 . n1)``, accurate for tiny angles. It
+    is taken with ``math.atan2``, not ``np.arctan2``, whose SIMD loop can
+    differ from the scalar reference in the last bit.
     """
     c = _cross(n0, n1)
     cn = np.sqrt(_dot(c, c))
     theta = np.fromiter(map(math.atan2, cn.tolist(), _dot(n0, n1).tolist()), float, len(cn))
-    return theta, theta >= math.pi - _TOL.antipodal, c, cn
-
-
-def _slerp(n0, n1, w, theta):
-    """Rotate ``n0`` by ``w * theta`` toward ``n1`` in their common plane.
-
-    ``theta`` is the precomputed angle between the unit vectors, already
-    checked to be below pi. Works for every real ``w``.
-    """
-    if w == 0.0:
-        return n0
-    if w == 1.0:
-        return n1
-    if theta < 1e-12:
-        # parallel normals: any combination renormalizes back to n0
-        x = (1.0 - w) * n0[0] + w * n1[0]
-        y = (1.0 - w) * n0[1] + w * n1[1]
-        z = (1.0 - w) * n0[2] + w * n1[2]
-    else:
-        s = math.sin(theta)
-        a = math.sin((1.0 - w) * theta) / s
-        b = math.sin(w * theta) / s
-        x = a * n0[0] + b * n1[0]
-        y = a * n0[1] + b * n1[1]
-        z = a * n0[2] + b * n1[2]
-    r = math.sqrt(x * x + y * y + z * z)
-    return (x / r, y / r, z / r)
+    return theta, theta >= math.pi - _ANTIPODAL, c, cn
 
 
 def _slerp_rows(n0, n1, w, theta):
-    """:func:`_slerp` over rows, for weights other than 0 and 1.
+    """Rotate ``n0`` by ``w * theta`` toward ``n1`` in their common plane.
 
     ``n0`` and ``n1`` are triples of component arrays, ``w`` and ``theta``
-    arrays of the same length. Each row equals the scalar result bit for bit.
+    arrays of the same length; ``theta`` is the angle between the unit
+    vectors, already checked to be below pi. Works for every real ``w``
+    other than 0 and 1, which the callers return as ``n0`` and ``n1``.
     """
     s = np.sin(theta)
     with np.errstate(divide="ignore", invalid="ignore"):  # s = 0 on rows taking the tiny branch
         a = np.sin((1.0 - w) * theta) / s
         b = np.sin(w * theta) / s
-    # parallel normals: the scalar code's (1 - w) * n0 + w * n1
+    # parallel normals: any combination renormalizes back to n0
     tiny = theta < 1e-12
     a = np.where(tiny, 1.0 - w, a)
     b = np.where(tiny, w, b)
@@ -274,21 +232,28 @@ def geodesic_avg(n0, n1, w: float) -> np.ndarray:
     Raises :class:`AntipodalNormalsError` for opposite normals, where the
     rotation plane is ambiguous.
     """
-    t0 = _as_triple(n0, "n0")
-    t1 = _as_triple(n1, "n1")
-    theta = _angle(t0, t1)
-    if theta >= math.pi - _TOL.antipodal:
-        raise AntipodalNormalsError("geodesic average undefined for antipodal normals")
-    return np.array(_slerp(t0, t1, w, theta))
+    a0 = _as_vector(n0, "n0")
+    a1 = _as_vector(n1, "n1")
+    with np.errstate(all="ignore"):
+        theta, antipodal, _, _ = _angle_rows(a0[:, None], a1[:, None])
+        if antipodal[0]:
+            raise AntipodalNormalsError("geodesic average undefined for antipodal normals")
+        if w == 0.0:
+            return a0.copy()
+        if w == 1.0:
+            return a1.copy()
+        nm = _slerp_rows(a0[:, None], a1[:, None], np.array([w], dtype=float), theta)
+    return np.concatenate(nm)
 
 
-def _arc_point(p0, p1, w, theta, n0, n1, nz):
+def _arc_point_rows(p0, p1, w, theta, orient, nz):
     """Point at arc fraction ``w`` on the auxiliary circle through p0 and p1.
 
-    All arguments are float triples; ``nz`` is the unit normal of the carrier
-    plane containing both points and both normals, and ``theta`` in
-    (0, pi) is the angle between the normals, which equals the central angle
-    of the arc from p0 to p1.
+    Points and ``nz`` are triples of component arrays; ``nz`` is the unit
+    normal of the carrier plane containing both points and both normals.
+    ``theta`` in (0, pi) is the angle between the normals, which equals the
+    central angle of the arc from p0 to p1, and ``orient`` holds the
+    components of ``n0 x n1``, the only use the arc makes of the normals.
 
     The circle is fixed by two requirements: its radius is
     ``|p1 - p0| / (2 sin(theta / 2))``, and walking from p0 to p1 along it
@@ -305,47 +270,16 @@ def _arc_point(p0, p1, w, theta, n0, n1, nz):
     cx = p1[0] - p0[0]
     cy = p1[1] - p0[1]
     cz = p1[2] - p0[2]
-    d = math.sqrt(cx * cx + cy * cy + cz * cz)
-    if d == 0.0:
-        return p0
-    tx, ty, tz = cx / d, cy / d, cz / d
-    # orientation carrying n0 to n1, as seen from the carrier normal
-    orient = _dot(_cross(n0, n1), nz)
-    s = 1.0 if orient > 0.0 else -1.0
-    # bulge direction: rotate the chord direction by -90 deg in that orientation
-    qx, qy, qz = _cross(nz, (tx, ty, tz))
-    bx, by, bz = -s * qx, -s * qy, -s * qz
-    sh = math.sin(0.5 * theta)
-    # p(w) = M + along_b * b + along_t * t, written without cancellation so the
-    # huge-radius regime theta -> 0 degrades gracefully into the chord
-    along_b = d * math.sin(0.5 * w * theta) * math.sin(0.5 * (1.0 - w) * theta) / sh
-    along_t = d * math.sin((w - 0.5) * theta) / (2.0 * sh)
-    mx = 0.5 * (p0[0] + p1[0])
-    my = 0.5 * (p0[1] + p1[1])
-    mz = 0.5 * (p0[2] + p1[2])
-    return (
-        mx + along_b * bx + along_t * tx,
-        my + along_b * by + along_t * ty,
-        mz + along_b * bz + along_t * tz,
-    )
-
-
-def _arc_point_rows(p0, p1, w, theta, orient, nz):
-    """:func:`_arc_point` over rows.
-
-    Points and ``nz`` are triples of component arrays; ``orient`` is the
-    array of ``_cross(n0, n1)`` components, the only use the scalar code
-    makes of the normals. Each row equals the scalar result bit for bit.
-    """
-    cx = p1[0] - p0[0]
-    cy = p1[1] - p0[1]
-    cz = p1[2] - p0[2]
     d = np.sqrt(cx * cx + cy * cy + cz * cz)
     t = (cx / d, cy / d, cz / d)
+    # bulge direction: rotate the chord direction by -90 deg in the orientation
+    # carrying n0 to n1, as seen from the carrier normal
     s = np.where(_dot(orient, nz) > 0.0, 1.0, -1.0)
     q = _cross(nz, t)
     b = (-s * q[0], -s * q[1], -s * q[2])
     sh = np.sin(0.5 * theta)
+    # p(w) = M + along_b * b + along_t * t, written without cancellation so the
+    # huge-radius regime theta -> 0 degrades gracefully into the chord
     along_b = d * np.sin(0.5 * w * theta) * np.sin(0.5 * (1.0 - w) * theta) / sh
     along_t = d * np.sin((w - 0.5) * theta) / (2.0 * sh)
     pt = (
@@ -354,25 +288,6 @@ def _arc_point_rows(p0, p1, w, theta, orient, nz):
         0.5 * (p0[2] + p1[2]) + along_b * b[2] + along_t * t[2],
     )
     return tuple(np.where(d == 0.0, start, arc) for start, arc in zip(p0, pt))
-
-
-def _avg_in_plane(p0, n0, p1, n1, w, nz, theta):
-    """Shared planar core: returns (point triple, normal triple).
-
-    Inputs are float triples lying in the plane with unit normal ``nz``
-    (normals orthogonal to ``nz``); ``theta`` is the precomputed angle
-    between the normals, below the antipodal threshold.
-    """
-    nm = _slerp(n0, n1, w, theta)
-    if theta < _TOL.theta_linear:
-        pt = (
-            (1.0 - w) * p0[0] + w * p1[0],
-            (1.0 - w) * p0[1] + w * p1[1],
-            (1.0 - w) * p0[2] + w * p1[2],
-        )
-    else:
-        pt = _arc_point(p0, p1, w, theta, n0, n1, nz)
-    return pt, nm
 
 
 def circle_avg_2d(P0: Pnp, P1: Pnp, w: float, carrier: Plane) -> Pnp:
@@ -395,22 +310,23 @@ def circle_avg_2d(P0: Pnp, P1: Pnp, w: float, carrier: Plane) -> Pnp:
     for pt, nm, label in pairs:
         rel = (pt[0] - org[0], pt[1] - org[1], pt[2] - org[2])
         off = _dot(rel, nz)
-        if abs(off) > _TOL.carrier * _norm(rel):
+        if abs(off) > _CARRIER * _norm(rel):
             raise NotInCarrierError(f"{label} point is {off:g} off the carrier plane")
         tilt = _dot((nm[0], nm[1], nm[2]), nz)
-        if abs(tilt) > _TOL.carrier:
+        if abs(tilt) > _CARRIER:
             raise NotInCarrierError(f"{label} normal tilts {tilt:g} out of the carrier plane")
 
-    p0 = (P0.point[0], P0.point[1], P0.point[2])
-    n0 = (P0.normal[0], P0.normal[1], P0.normal[2])
-    p1 = (P1.point[0], P1.point[1], P1.point[2])
-    n1 = (P1.normal[0], P1.normal[1], P1.normal[2])
-    theta = _angle(n0, n1)
-    if theta >= math.pi - _TOL.antipodal:
-        raise AntipodalNormalsError("circle average undefined for antipodal normals")
-    if w == 0.0:
-        return P0
-    if w == 1.0:
-        return P1
-    pt, nm = _avg_in_plane(p0, n0, p1, n1, w, nz, theta)
-    return Pnp(pt, nm)
+    p0, n0, p1, n1 = (a[:, None] for a in (P0.point, P0.normal, P1.point, P1.normal))
+    with np.errstate(all="ignore"):
+        theta, antipodal, c, _ = _angle_rows(n0, n1)
+        if antipodal[0]:
+            raise AntipodalNormalsError("circle average undefined for antipodal normals")
+        if w == 0.0:
+            return P0
+        if w == 1.0:
+            return P1
+        wr = np.array([w], dtype=float)
+        nm = _slerp_rows(n0, n1, wr, theta)
+        arc = _arc_point_rows(p0, p1, wr, theta, c, carrier.normal[:, None])
+        pt = np.where(theta < _THETA_LINEAR, (1.0 - wr) * p0 + wr * p1, arc)
+    return Pnp(pt[:, 0], np.concatenate(nm))

@@ -51,7 +51,7 @@ from .errors import (
     OpenBoundaryError,
     VanishingNormalError,
 )
-from .geom import get_tolerances
+from .geom import _COINCIDENT, _CROSS, _UNIT_NORM
 
 __all__ = ["Mesh", "load_obj", "save_obj", "save_ply", "naive_normals"]
 
@@ -102,7 +102,7 @@ class Mesh:
         lengths = np.linalg.norm(arr, axis=1)
         if not np.isfinite(lengths).all() or np.abs(lengths - 1.0).max() > _NORMAL_SLACK:
             raise ValueError("normals must be unit length (within 1e-6)")
-        off = np.abs(lengths - 1.0) > get_tolerances().unit_norm
+        off = np.abs(lengths - 1.0) > _UNIT_NORM
         arr[off] /= lengths[off, None]
         arr.setflags(write=False)
         return arr
@@ -362,18 +362,17 @@ def naive_normals(mesh: Mesh) -> np.ndarray:
     points outward. Rotation-equivariant by construction. Raises for the
     lowest-numbered vertex with a collinear wedge or cancelling wedge normals.
     """
-    tol = get_tolerances()
     n = mesh.vertex_count
     corner = mesh.origin
     cross, cross_norms, extent, gammas, _ = _corner_wedges(mesh)
-    collinear = cross_norms <= tol.cross * extent
+    collinear = cross_norms <= _CROSS * extent
     weights = gammas / np.bincount(corner, gammas, n)[corner]
     with np.errstate(divide="ignore", invalid="ignore"):
         unit = weights[:, None] * (cross / cross_norms[:, None])
     a = np.stack([np.bincount(corner, unit[:, i], n) for i in range(3)], axis=1)
     norms = np.sqrt(np.einsum("ij,ij->i", a, a))
     p_collinear = corner[collinear].min(initial=n)
-    p_cancel = np.flatnonzero(norms <= tol.coincident).min(initial=n)
+    p_cancel = np.flatnonzero(norms <= _COINCIDENT).min(initial=n)
     if p_collinear < n and p_collinear <= p_cancel:
         raise DegenerateCornerError(f"collinear wedge at vertex {p_collinear}")
     if p_cancel < n:

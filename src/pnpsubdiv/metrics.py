@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateFaceError, MissingNormalsError, ZeroAreaError
-from .geom import get_tolerances
+from .geom import _CROSS
 from .mesh import Mesh, _corner_wedges, _unit_scaled, naive_normals
 
 __all__ = [
@@ -44,7 +44,7 @@ def _unit_cross(a, b, context):
     """Unit cross products of the rows of ``a`` and ``b``; parallel rows are a zero-area face."""
     cross = np.cross(a, b)
     norms = np.linalg.norm(cross, axis=1)
-    floor = get_tolerances().cross * np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+    floor = _CROSS * np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
     if (norms <= floor).any():
         raise DegenerateFaceError(f"zero-area face while computing {context}")
     return cross / norms[:, None]
@@ -95,7 +95,7 @@ def _scaled_curvature(mesh: Mesh) -> tuple[np.ndarray, int]:
     corner = mesh.origin
     _, cross_norms, extent, gammas, scale = _corner_wedges(mesh)
     doubled = np.bincount(corner, cross_norms, n)
-    flat = np.flatnonzero(doubled <= get_tolerances().cross * np.bincount(corner, extent, n))
+    flat = np.flatnonzero(doubled <= _CROSS * np.bincount(corner, extent, n))
     if len(flat):
         raise ZeroAreaError(f"vanishing cell area at vertex {flat[0]}")
     return (2.0 * math.pi - np.bincount(corner, gammas, n)) / (doubled / 6.0), scale

@@ -14,7 +14,7 @@ refined face list. The same table drives both modes:
   point-normal pairs. A level is folded at once: step ``k`` of every chain
   is one array evaluation of the circle average, with the same floats as
   the scalar reference in the test suite (``tests/oracle.py``), which
-  folds one row at a time with :func:`~pnpsubdiv.circle3d.circle_avg_3d`.
+  folds one row at a time with its own scalar circle average.
   The array evaluation also flags the rows the scalar average rejects, so
   a failing level raises the scalar reference's error, naming the output
   vertex, the fold step, its input vertex and the cause, without running
@@ -66,7 +66,7 @@ from .geom import Pnp, _invalid_pnp_rows
 from .mesh import Mesh, naive_normals
 from .stencil import PlanTable, StencilTable, compile_table
 
-__all__ = ["SchemeKind", "RefinementStep", "Refiner", "refinement_step", "refine_once", "refine"]
+__all__ = ["SchemeKind", "RefinementStep", "Refiner", "refinement_step", "refine"]
 
 _ARITY = {"cc": 4, "lp": 3, "by": 3, "k4": 4}
 _INTERPOLATORY = frozenset({"by", "k4"})
@@ -383,14 +383,6 @@ class Refiner:
         if level == len(self._steps):
             self._steps.append(refinement_step(parent, self.base))
         return self._steps[level]
-
-
-def refine_once(mesh: Mesh, scheme: SchemeKind) -> Mesh:
-    """Apply one refinement step of ``scheme`` to ``mesh``: ``refine(mesh, scheme, 1)``.
-
-    In linear mode the returned mesh carries its naive normals.
-    """
-    return refine(mesh, scheme, 1)
 
 
 def refine(mesh: Mesh, scheme: SchemeKind, iters: int) -> Mesh:

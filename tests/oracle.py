@@ -1,30 +1,239 @@
 """The scalar references the tests hold the library's array code to.
 
+:func:`circle_avg_3d`, :func:`circle_avg_2d` and :func:`geodesic_avg` are
+the circle average and its steps written one pair at a time on Python
+floats. The library writes each step once, as a row kernel over arrays of
+components (``pnpsubdiv.geom._angle_rows``, ``_slerp_rows``,
+``_arc_point_rows`` and ``pnpsubdiv.circle3d._circle_avg_rows``), and its
+public averages are one-row calls of those kernels. The tests require the
+same floats and the same errors from both.
+
 A :class:`Stencil` is one affine combination, :func:`compile_plan` turns it
 into its chain of weighted binary averages and :func:`evaluate_plan` folds
 that chain with any binary average: :func:`affine_average` gives the
-classical scheme, :func:`~pnpsubdiv.circle3d.circle_avg_3d` the modified
-one. The library folds a whole level at once from a CSR
-:class:`~pnpsubdiv.stencil.StencilTable` (:func:`~pnpsubdiv.stencil.compile_table`
-and ``schemes._circle_fold``); these functions do the same one stencil and
-one average at a time, in the term order described in
-:mod:`pnpsubdiv.stencil`, and the tests require the same floats and errors.
+classical scheme, :func:`circle_avg_3d` the modified one. The library folds
+a whole level at once from a CSR :class:`~pnpsubdiv.stencil.StencilTable`
+(:func:`~pnpsubdiv.stencil.compile_table` and ``schemes._circle_fold``);
+these functions do the same one stencil and one average at a time, in the
+term order described in :mod:`pnpsubdiv.stencil`, and the tests require the
+same floats and errors.
 
 :func:`chord_point` and :func:`helix_trace` are the straight-chord and
-swept-weight views of one circle average that the circle-average tests use.
+swept-weight views of the library's circle average that the circle-average
+tests use.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from pnpsubdiv import Pnp, circle_avg_3d
-from pnpsubdiv.errors import AffineWeightError, StencilError
+import pnpsubdiv
+from pnpsubdiv import Plane, Pnp
+from pnpsubdiv.errors import (
+    AffineWeightError,
+    AntipodalNormalsError,
+    NotInCarrierError,
+    StencilError,
+)
+from pnpsubdiv.geom import _ANTIPODAL, _CARRIER, _THETA_LINEAR
 from pnpsubdiv.stencil import _SUM_TOL, StencilTable
 
+
+# ---------------------------------------------------------------------------
+# the circle average, one pair at a time on floats
+# ---------------------------------------------------------------------------
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def _norm(a):
+    return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
+
+
+def _angle(a, b):
+    """Angle in [0, pi] between two nonzero vectors, accurate for tiny angles."""
+    return math.atan2(_norm(_cross(a, b)), _dot(a, b))
+
+
+def _as_triple(v, what="vector"):
+    a = np.asarray(v, dtype=float)
+    if a.shape != (3,):
+        raise ValueError(f"{what} must have shape (3,), got {a.shape}")
+    return a[0], a[1], a[2]
+
+
+def _slerp(n0, n1, w, theta):
+    """Rotate ``n0`` by ``w * theta`` toward ``n1`` in their common plane.
+
+    ``theta`` is the precomputed angle between the unit vectors, already
+    checked to be below pi. Works for every real ``w``.
+    """
+    if w == 0.0:
+        return n0
+    if w == 1.0:
+        return n1
+    if theta < 1e-12:
+        # parallel normals: any combination renormalizes back to n0
+        x = (1.0 - w) * n0[0] + w * n1[0]
+        y = (1.0 - w) * n0[1] + w * n1[1]
+        z = (1.0 - w) * n0[2] + w * n1[2]
+    else:
+        s = math.sin(theta)
+        a = math.sin((1.0 - w) * theta) / s
+        b = math.sin(w * theta) / s
+        x = a * n0[0] + b * n1[0]
+        y = a * n0[1] + b * n1[1]
+        z = a * n0[2] + b * n1[2]
+    r = math.sqrt(x * x + y * y + z * z)
+    return (x / r, y / r, z / r)
+
+
+def _arc_point(p0, p1, w, theta, n0, n1, nz):
+    """Point at arc fraction ``w`` on the auxiliary circle through p0 and p1.
+
+    All arguments are float triples; ``nz`` is the unit normal of the carrier
+    plane containing both points and both normals, and ``theta`` in (0, pi)
+    is the angle between the normals. The arc bulges to the side that turns
+    the radial direction the way ``n0`` rotates to ``n1``; a chord of length
+    exactly zero returns ``p0``.
+    """
+    cx = p1[0] - p0[0]
+    cy = p1[1] - p0[1]
+    cz = p1[2] - p0[2]
+    d = math.sqrt(cx * cx + cy * cy + cz * cz)
+    if d == 0.0:
+        return p0
+    tx, ty, tz = cx / d, cy / d, cz / d
+    # orientation carrying n0 to n1, as seen from the carrier normal
+    orient = _dot(_cross(n0, n1), nz)
+    s = 1.0 if orient > 0.0 else -1.0
+    # bulge direction: rotate the chord direction by -90 deg in that orientation
+    qx, qy, qz = _cross(nz, (tx, ty, tz))
+    bx, by, bz = -s * qx, -s * qy, -s * qz
+    sh = math.sin(0.5 * theta)
+    along_b = d * math.sin(0.5 * w * theta) * math.sin(0.5 * (1.0 - w) * theta) / sh
+    along_t = d * math.sin((w - 0.5) * theta) / (2.0 * sh)
+    mx = 0.5 * (p0[0] + p1[0])
+    my = 0.5 * (p0[1] + p1[1])
+    mz = 0.5 * (p0[2] + p1[2])
+    return (
+        mx + along_b * bx + along_t * tx,
+        my + along_b * by + along_t * ty,
+        mz + along_b * bz + along_t * tz,
+    )
+
+
+def _avg_in_plane(p0, n0, p1, n1, w, nz, theta):
+    """Shared planar core: returns (point triple, normal triple).
+
+    Inputs are float triples lying in the plane with unit normal ``nz``
+    (normals orthogonal to ``nz``); ``theta`` is the precomputed angle
+    between the normals, below the antipodal threshold.
+    """
+    nm = _slerp(n0, n1, w, theta)
+    if theta < _THETA_LINEAR:
+        pt = (
+            (1.0 - w) * p0[0] + w * p1[0],
+            (1.0 - w) * p0[1] + w * p1[1],
+            (1.0 - w) * p0[2] + w * p1[2],
+        )
+    else:
+        pt = _arc_point(p0, p1, w, theta, n0, n1, nz)
+    return pt, nm
+
+
+def geodesic_avg(n0, n1, w: float) -> np.ndarray:
+    """:func:`pnpsubdiv.geodesic_avg`, one pair at a time."""
+    t0 = _as_triple(n0, "n0")
+    t1 = _as_triple(n1, "n1")
+    theta = _angle(t0, t1)
+    if theta >= math.pi - _ANTIPODAL:
+        raise AntipodalNormalsError("geodesic average undefined for antipodal normals")
+    return np.array(_slerp(t0, t1, w, theta))
+
+
+def circle_avg_2d(P0: Pnp, P1: Pnp, w: float, carrier: Plane) -> Pnp:
+    """:func:`pnpsubdiv.circle_avg_2d`, one pair at a time."""
+    nz = (carrier.normal[0], carrier.normal[1], carrier.normal[2])
+    org = (carrier.origin[0], carrier.origin[1], carrier.origin[2])
+    pairs = ((P0.point, P0.normal, "P0"), (P1.point, P1.normal, "P1"))
+    for pt, nm, label in pairs:
+        rel = (pt[0] - org[0], pt[1] - org[1], pt[2] - org[2])
+        off = _dot(rel, nz)
+        if abs(off) > _CARRIER * _norm(rel):
+            raise NotInCarrierError(f"{label} point is {off:g} off the carrier plane")
+        tilt = _dot((nm[0], nm[1], nm[2]), nz)
+        if abs(tilt) > _CARRIER:
+            raise NotInCarrierError(f"{label} normal tilts {tilt:g} out of the carrier plane")
+
+    p0 = (P0.point[0], P0.point[1], P0.point[2])
+    n0 = (P0.normal[0], P0.normal[1], P0.normal[2])
+    p1 = (P1.point[0], P1.point[1], P1.point[2])
+    n1 = (P1.normal[0], P1.normal[1], P1.normal[2])
+    theta = _angle(n0, n1)
+    if theta >= math.pi - _ANTIPODAL:
+        raise AntipodalNormalsError("circle average undefined for antipodal normals")
+    if w == 0.0:
+        return P0
+    if w == 1.0:
+        return P1
+    pt, nm = _avg_in_plane(p0, n0, p1, n1, w, nz, theta)
+    return Pnp(pt, nm)
+
+
+def circle_avg_3d(P0: Pnp, P1: Pnp, w: float) -> Pnp:
+    """:func:`pnpsubdiv.circle_avg_3d`, one pair at a time.
+
+    The pair ``P1`` is projected along ``z_dir(n0, n1)`` into the plane
+    through ``p0``, averaged there by :func:`_avg_in_plane`, and the point is
+    shifted back by ``w`` times the signed plane offset. Parallel normals
+    take the straight chord.
+    """
+    n0 = (P0.normal[0], P0.normal[1], P0.normal[2])
+    n1 = (P1.normal[0], P1.normal[1], P1.normal[2])
+    theta = _angle(n0, n1)
+    if theta >= math.pi - _ANTIPODAL:
+        raise AntipodalNormalsError("circle average undefined for antipodal normals")
+    if w == 0.0:
+        return P0
+    if w == 1.0:
+        return P1
+    p0 = (P0.point[0], P0.point[1], P0.point[2])
+    p1 = (P1.point[0], P1.point[1], P1.point[2])
+    if theta < _THETA_LINEAR:
+        # z is numerically meaningless; take the straight-chord limit
+        pt = (
+            (1.0 - w) * p0[0] + w * p1[0],
+            (1.0 - w) * p0[1] + w * p1[1],
+            (1.0 - w) * p0[2] + w * p1[2],
+        )
+        return Pnp(pt, _slerp(n0, n1, w, theta))
+    c = _cross(n0, n1)
+    cn = _norm(c)
+    zt = (c[0] / cn, c[1] / cn, c[2] / cn)
+    h = _dot((p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]), zt)
+    p1s = (p1[0] - h * zt[0], p1[1] - h * zt[1], p1[2] - h * zt[2])
+    pt, nm = _avg_in_plane(p0, n0, p1s, n1, w, zt, theta)
+    wh = w * h
+    return Pnp((pt[0] + wh * zt[0], pt[1] + wh * zt[1], pt[2] + wh * zt[2]), nm)
+
+
+# ---------------------------------------------------------------------------
+# stencils and their chains of binary averages
+# ---------------------------------------------------------------------------
 
 class ZeroWeightError(StencilError):
     """A stencil contains a zero weight."""
@@ -132,6 +341,10 @@ def affine_average(a, b, w: float):
     return (1.0 - w) * a + w * b
 
 
+# ---------------------------------------------------------------------------
+# views of the library's circle average
+# ---------------------------------------------------------------------------
+
 def chord_point(p0, p1, w: float) -> np.ndarray:
     """Affine average ``(1 - w) p0 + w p1``.
 
@@ -157,5 +370,5 @@ def helix_trace(P0: Pnp, P1: Pnp, samples: int) -> np.ndarray:
     out = np.empty((samples, 3))
     last = samples - 1
     for i in range(samples):
-        out[i] = circle_avg_3d(P0, P1, i / last).point
+        out[i] = pnpsubdiv.circle_avg_3d(P0, P1, i / last).point
     return out

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from meshes import random_pnp_pair, random_rotation, random_unit
+import oracle
 from oracle import chord_point, helix_trace
 from pnpsubdiv import (
     Plane,
@@ -12,9 +13,10 @@ from pnpsubdiv import (
     circle_avg_2d,
     circle_avg_3d,
     deviation_from_chord,
+    geodesic_avg,
 )
 from pnpsubdiv.circle3d import _circle_avg_rows
-from pnpsubdiv.errors import AntipodalNormalsError, ParallelNormalsError
+from pnpsubdiv.errors import AntipodalNormalsError, NotInCarrierError, ParallelNormalsError
 
 SQ2 = math.sqrt(0.5)
 
@@ -380,7 +382,7 @@ def test_averages_commute_with_scaling(s, rng):
 
 
 # ---------------------------------------------------------------------------
-# row-wise twin used by mesh refinement: bit-identical to circle_avg_3d
+# the row kernel used by mesh refinement: bit-identical to the scalar oracle
 # ---------------------------------------------------------------------------
 
 def _rows(pairs, weights):
@@ -394,7 +396,7 @@ def _rows(pairs, weights):
 
 def _rows_vs_scalar(pairs, weights):
     got = _rows(pairs, weights)
-    want = [circle_avg_3d(a, b, w) for (a, b), w in zip(pairs, weights)]
+    want = [oracle.circle_avg_3d(a, b, w) for (a, b), w in zip(pairs, weights)]
     return got, want
 
 
@@ -452,7 +454,7 @@ def test_rows_flag_exactly_the_pairs_the_scalar_average_rejects():
     for (a, b), w in zip(pairs, weights):
         try:
             with np.errstate(all="ignore"):
-                circle_avg_3d(a, b, w)
+                oracle.circle_avg_3d(a, b, w)
         except (AntipodalNormalsError, ValueError):
             rejected.append(True)
         else:
@@ -461,3 +463,116 @@ def test_rows_flag_exactly_the_pairs_the_scalar_average_rejects():
     _, _, antipodal, invalid = _rows(pairs, weights)
     assert antipodal.tolist() == [True, False, False, True]
     assert (antipodal | invalid).tolist() == rejected
+
+
+# ---------------------------------------------------------------------------
+# the public averages are one-row kernel calls: bit-identical to the scalar oracle
+# ---------------------------------------------------------------------------
+
+def _outcome(average, *args):
+    """The value of ``average(*args)``, or the exception it raises."""
+    try:
+        with np.errstate(all="ignore"):  # the oracle's numpy floats warn where chords overflow
+            return average(*args)
+    except (AntipodalNormalsError, NotInCarrierError, ValueError) as exc:
+        return exc
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+    elif isinstance(want, Pnp):
+        assert got.point.tobytes() == want.point.tobytes()
+        assert got.normal.tobytes() == want.normal.tobytes()
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+WEIGHTS = (0.0, 1.0, -1 / 16, 9 / 16, 0.375, 1.25)
+
+
+def _weight(rng):
+    return float(rng.choice([rng.uniform(-0.5, 1.5), *WEIGHTS]))
+
+
+def test_public_3d_and_geodesic_averages_equal_the_oracle(rng):
+    cases = []
+    for _ in range(200):  # random pairs
+        pair = random_pnp_pair(rng, spread=float(rng.uniform(0.01, 100.0)))
+        cases.append((*pair, _weight(rng)))
+    for angle in (0.0, 1e-13, 1e-10, 2e-9, 1e-6):  # near-parallel normals
+        n0 = random_unit(rng)
+        axis = np.cross(n0, random_unit(rng))
+        axis /= np.linalg.norm(axis)
+        n1 = n0 * math.cos(angle) + np.cross(axis, n0) * math.sin(angle)
+        n1 /= np.linalg.norm(n1)
+        for _ in range(10):
+            cases.append((Pnp(rng.normal(size=3), n0), Pnp(rng.normal(size=3), n1), _weight(rng)))
+    n0, n1 = np.array([1.0, 0.0, 0.0]), np.array([SQ2, SQ2, 0.0])
+    for h in (1.0, -3.0, 1e-3, 0.0):  # the chord parallel to z_dir(n0, n1), or no chord
+        p0 = rng.normal(size=3)
+        for w in WEIGHTS:
+            cases.append((Pnp(p0, n0), Pnp(p0 + np.array([0.0, 0.0, h]), n1), w))
+    for a, b, w in cases:
+        _assert_same_outcome(circle_avg_3d(a, b, w), oracle.circle_avg_3d(a, b, w))
+        n0, n1 = a.normal, b.normal
+        _assert_same_outcome(geodesic_avg(n0, n1, w), oracle.geodesic_avg(n0, n1, w))
+
+
+@pytest.mark.parametrize("tilted", [False, True], ids=["xy", "tilted"])
+def test_public_2d_average_equals_the_oracle(rng, tilted):
+    for _ in range(30):
+        frame = random_rotation(rng) if tilted else np.eye(3)
+        e1, e2, nz = frame.T
+        carrier = Plane(rng.normal(size=3) if tilted else np.zeros(3), nz)
+
+        def pnp(xy, phi):
+            point = carrier.origin + xy[0] * e1 + xy[1] * e2
+            return Pnp(point, math.cos(phi) * e1 + math.sin(phi) * e2)
+
+        phi = rng.uniform(-math.pi, math.pi)
+        p0 = rng.normal(size=2) * rng.uniform(0.01, 100.0)
+        for dphi in (rng.uniform(-3.0, 3.0), 0.0, 1e-13, 2e-9, 1e-6):
+            for p1 in (rng.normal(size=2) * 10.0, p0):  # distinct and coincident points
+                a, b, w = pnp(p0, phi), pnp(p1, phi + dphi), _weight(rng)
+                want = oracle.circle_avg_2d(a, b, w, carrier)
+                _assert_same_outcome(circle_avg_2d(a, b, w, carrier), want)
+
+
+def test_public_averages_raise_as_the_oracle():
+    up, down = np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])
+    side = np.array([1.0, 0.0, 0.0])
+    big = 1e308
+    xz = Plane((0, 0, 0), (0, 1, 0))
+    xy = Plane((0, 0, 0), (0, 0, 1))
+    cases = [
+        (Pnp((0, 0, 0), up), Pnp((1, 0, 0), down), w, xz)  # antipodal, also at the endpoints
+        for w in (0.5, 0.0, 1.0)
+    ] + [
+        (Pnp((-big, 0, 0), up), Pnp((big, 0, 0), side), 0.5, xz),  # the chord overflows
+        (Pnp((0, 0, 0), up), Pnp((1, 0, 0), side), 0.5, xy),  # a normal out of the carrier
+        (Pnp((0, 0, 1), side), Pnp((1, 0, 0), side), 0.5, xy),  # a point out of the carrier
+    ]
+    for a, b, w, carrier in cases:
+        want_3d = _outcome(oracle.circle_avg_3d, a, b, w)
+        want_2d = _outcome(oracle.circle_avg_2d, a, b, w, carrier)
+        want_geo = _outcome(oracle.geodesic_avg, a.normal, b.normal, w)
+        _assert_same_outcome(_outcome(circle_avg_3d, a, b, w), want_3d)
+        _assert_same_outcome(_outcome(circle_avg_2d, a, b, w, carrier), want_2d)
+        _assert_same_outcome(_outcome(geodesic_avg, a.normal, b.normal, w), want_geo)
+    assert isinstance(_outcome(circle_avg_3d, *cases[3][:3]), ValueError)
+    assert isinstance(_outcome(circle_avg_2d, *cases[3]), ValueError)
+    for c in cases[:3]:
+        assert isinstance(_outcome(circle_avg_3d, *c[:3]), AntipodalNormalsError)
+    assert all(isinstance(_outcome(circle_avg_2d, *c), NotInCarrierError) for c in cases[4:])
+
+
+def test_public_averages_return_their_inputs_at_the_endpoints(rng):
+    p0, p1 = random_pnp_pair(rng)
+    assert circle_avg_3d(p0, p1, 0.0) is p0
+    assert circle_avg_3d(p0, p1, 1.0) is p1
+    flat = Plane((0, 0, 0), (0, 0, 1))
+    q0, q1 = Pnp((1, 0, 0), (1, 0, 0)), Pnp((0, 1, 0), (0, 1, 0))
+    assert circle_avg_2d(q0, q1, 0.0, flat) is q0
+    assert circle_avg_2d(q0, q1, 1.0, flat) is q1

@@ -286,3 +286,18 @@ def test_circle_avg_2d_rigid_equivariance(rng):
         )
         assert np.allclose(moved.point, rot @ base.point + shift, atol=1e-9)
         assert np.allclose(moved.normal, rot @ base.normal, atol=1e-9)
+
+
+def test_np_sin_equals_math_sin_on_the_kernel_range():
+    """The row kernels take ``np.sin`` where the scalar oracle takes ``math.sin``.
+
+    Bit identity of the two rests on their agreeing on the kernel's
+    arguments: theta in [0, pi) and w * theta for w in [-0.5, 1.5].
+    """
+    rng = np.random.default_rng(7)
+    theta = rng.uniform(0.0, math.pi, 50_000)
+    args = np.concatenate([theta, rng.uniform(-0.5, 1.5, theta.size) * theta])
+    got = np.sin(args)
+    want = np.fromiter(map(math.sin, args.tolist()), float, args.size)
+    differ = np.count_nonzero(got.view(np.int64) != want.view(np.int64))
+    assert differ == 0, f"np.sin differs from math.sin on {differ} of {args.size} inputs"

@@ -28,7 +28,7 @@ from pnpsubdiv import (
     naive_normals,
     normal_deviation,
     psi_zeta_star,
-    refine_once,
+    refine,
     zeta,
 )
 from pnpsubdiv.errors import MissingNormalsError, ZeroAreaError
@@ -201,7 +201,7 @@ def test_measure_is_scale_free(mesh_fn, base):
     zeta* is infinite, and only numpy's overflow warning is silenced.
     """
     mesh = mesh_fn(12, 6)
-    refined = refine_once(mesh.with_normals(naive_normals(mesh)), SchemeKind(base, modified=True))
+    refined = refine(mesh.with_normals(naive_normals(mesh)), SchemeKind(base, modified=True), 1)
     base_report = measure(refined, xi=True)
     for s in (1e-300, 1e-160, 1e-150, 1e-100, 1e-8, 1e-6, 1e-3, 1e3, 1e6, 1e8, 1e100, 1e150, 1e300):
         scaled = Mesh(refined.vertices * s, refined.faces, normals=refined.normals)

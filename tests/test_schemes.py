@@ -20,8 +20,9 @@ from meshes import (
     valence,
     with_outward_unit_normals,
 )
+import oracle
 from oracle import Stencil, affine_average, as_stencils, as_table, compile_plan, evaluate_plan
-from pnpsubdiv import Mesh, Pnp, SchemeKind, circle_avg_3d, naive_normals, refine, refine_once
+from pnpsubdiv import Mesh, Pnp, SchemeKind, naive_normals, refine
 from pnpsubdiv.errors import (
     AntipodalNormalsError,
     ArityMismatchError,
@@ -60,12 +61,12 @@ def test_scheme_kind_names():
 def test_arity_mismatch(base):
     wrong = tetrahedron() if base in ("cc", "k4") else cube()
     with pytest.raises(ArityMismatchError):
-        refine_once(wrong, SchemeKind(base))
+        refine(wrong, SchemeKind(base), 1)
 
 
 def test_modified_requires_normals():
     with pytest.raises(MissingNormalsError):
-        refine_once(tetrahedron(), SchemeKind("lp", modified=True))
+        refine(tetrahedron(), SchemeKind("lp", modified=True), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -73,19 +74,19 @@ def test_modified_requires_normals():
 # ---------------------------------------------------------------------------
 
 def test_cc_cube_counts():
-    out = refine_once(cube(), SchemeKind("cc"))
+    out = refine(cube(), SchemeKind("cc"), 1)
     assert out.vertex_count == 26      # 8 old + 12 edge + 6 face
     assert out.face_count == 24
-    out2 = refine_once(out, SchemeKind("cc"))
+    out2 = refine(out, SchemeKind("cc"), 1)
     assert out2.vertex_count == 98     # 26 + 48 + 24
 
 
 def test_loop_tetra_counts():
-    out = refine_once(tetrahedron(), SchemeKind("lp"))
+    out = refine(tetrahedron(), SchemeKind("lp"), 1)
     assert out.vertex_count == 10      # 4 + 6 edges
     assert out.face_count == 16
     # once more: V + E = 10 + 24, F = 64 (Euler-consistent at every level)
-    out2 = refine_once(out, SchemeKind("lp"))
+    out2 = refine(out, SchemeKind("lp"), 1)
     assert out2.vertex_count == 34
     assert out2.face_count == 64
     assert out2.vertex_count - out2.edge_count + out2.face_count == 2
@@ -104,7 +105,7 @@ def test_stencils_are_affine_and_faces_oriented(base):
     # Stencil construction enforces the unit weight sum; re-check explicitly
     for st in stencils:
         assert abs(sum(w for _, w in st.terms) - 1.0) < 1e-12
-    out = refine_once(m, SchemeKind(base))
+    out = refine(m, SchemeKind(base), 1)
     assert out.face_count == 4 * m.face_count
     # constructing the Mesh validated orientation; also expect outward normals
     assert (np.einsum("ij,ij->i", naive_normals(out), out.vertices) > 0).any()
@@ -131,7 +132,7 @@ def _two_levels(base):
     for mesh_fn in _TABLE_MESHES[_ARITY[base]]:
         mesh = mesh_fn()
         yield mesh
-        yield refine_once(mesh, SchemeKind(base))
+        yield refine(mesh, SchemeKind(base), 1)
 
 
 def _dict_merged_terms(mesh, base):
@@ -156,7 +157,7 @@ def test_stencils_equal_the_dict_merge(base):
 
 
 def _affine_positions(stencils, vertices):
-    """Linear positions by a walk over every stencil term, the reference for ``refine_once``."""
+    """Linear positions by a walk over every stencil term, the reference for one ``refine`` level."""
     rows, cols, weights = [], [], []
     for i, st in enumerate(stencils):
         for idx, w in st.terms:
@@ -173,7 +174,7 @@ def _affine_positions(stencils, vertices):
 def test_linear_positions_equal_the_term_walk(base):
     for mesh in _two_levels(base):
         step = refinement_step(mesh, base)
-        out = refine_once(mesh, SchemeKind(base))
+        out = refine(mesh, SchemeKind(base), 1)
         want = _affine_positions(as_stencils(step.table), mesh.vertices)
         assert np.array_equal(out.vertices, want)
         assert np.array_equal(out.faces, step.faces)
@@ -265,14 +266,14 @@ def test_linear_mode_planar_meshes_stay_planar(base):
 def test_linear_mode_matches_plan_evaluation(base):
     m = _mesh_for(base)
     stencils = _stencils(m, base)
-    out = refine_once(m, SchemeKind(base))
+    out = refine(m, SchemeKind(base), 1)
     for i, st in enumerate(stencils):
         via_plan = evaluate_plan(compile_plan(st), list(m.vertices), affine_average)
         assert np.linalg.norm(out.vertices[i] - via_plan) < 1e-12
 
 
 def test_linear_mode_attaches_naive_normals():
-    out = refine_once(cube(), SchemeKind("cc"))
+    out = refine(cube(), SchemeKind("cc"), 1)
     assert out.has_normals
     assert np.abs(out.normals - naive_normals(out)).max() < 1e-15
 
@@ -390,11 +391,11 @@ def test_interpolatory_modified_fixes_original_pnps(base):
 def test_modified_rigid_equivariance(base, rng):
     m = with_outward_unit_normals(quad_sphere(1) if base in ("cc", "k4") else tri_sphere(0))
     scheme = SchemeKind(base, modified=True)
-    base_out = refine_once(m, scheme)
+    base_out = refine(m, scheme, 1)
     rot = random_rotation(rng)
     shift = rng.normal(size=3)
     moved = Mesh(m.vertices @ rot.T + shift, m.faces, normals=m.normals @ rot.T)
-    moved_out = refine_once(moved, scheme)
+    moved_out = refine(moved, scheme, 1)
     assert np.abs(moved_out.vertices - (base_out.vertices @ rot.T + shift)).max() < 1e-9
     assert np.abs(moved_out.normals - base_out.normals @ rot.T).max() < 1e-9
 
@@ -440,7 +441,7 @@ def _posed_torus(base, rng, normal_kind):
 @pytest.mark.parametrize("normal_kind", ["naive", "perturbed", "equal"])
 @pytest.mark.parametrize("base", ALL_BASES)
 def test_modified_refine_equals_scalar_oracle(base, normal_kind, rng):
-    """Every output vertex equals its plan folded by circle_avg_3d, bit for bit.
+    """Every output vertex equals its plan folded by oracle.circle_avg_3d, bit for bit.
 
     Naive normals on a posed torus are the benchmark's input, folded for as
     many levels as it refines. All-equal normals take the linear-limit
@@ -451,13 +452,13 @@ def test_modified_refine_equals_scalar_oracle(base, normal_kind, rng):
         step = refinement_step(mesh, base)
         pnps = [Pnp(mesh.vertices[i], mesh.normals[i]) for i in range(mesh.vertex_count)]
         stencils = as_stencils(step.table)
-        want = [evaluate_plan(compile_plan(st), pnps, circle_avg_3d) for st in stencils]
+        want = [evaluate_plan(compile_plan(st), pnps, oracle.circle_avg_3d) for st in stencils]
         points = np.array([r.point for r in want])
         normals = np.array([r.normal for r in want])
         got_points, got_normals = _circle_fold(mesh, step.table, step.plans)
         assert np.array_equal(got_points, points)
         assert np.array_equal(got_normals, normals)
-        out = refine_once(mesh, SchemeKind(base, modified=True))
+        out = refine(mesh, SchemeKind(base, modified=True), 1)
         ref = Mesh(points, step.faces, normals=normals)
         assert np.array_equal(out.vertices, ref.vertices)
         assert np.array_equal(out.normals, ref.normals)
@@ -554,31 +555,31 @@ def _relabelled(mesh, rng, permute_vertices):
 def test_refinement_independent_of_face_order_and_corner_rotation(base, modified, rng):
     mesh = _posed_torus(base, rng, "perturbed")
     scheme = SchemeKind(base, modified=modified)
-    out = refine_once(mesh, scheme)
-    other = refine_once(_relabelled(mesh, rng, permute_vertices=False), scheme)
+    out = refine(mesh, scheme, 1)
+    other = refine(_relabelled(mesh, rng, permute_vertices=False), scheme, 1)
     _assert_same_refinement(out, other)
 
 
 @pytest.mark.parametrize("base", ALL_BASES)
 def test_linear_refinement_independent_of_vertex_labels(base, rng):
     mesh = _posed_torus(base, rng, "perturbed")
-    out = refine_once(mesh, SchemeKind(base))
-    other = refine_once(_relabelled(mesh, rng, permute_vertices=True), SchemeKind(base))
+    out = refine(mesh, SchemeKind(base), 1)
+    other = refine(_relabelled(mesh, rng, permute_vertices=True), SchemeKind(base), 1)
     _assert_same_refinement(out, other)
 
 
 def test_refined_normals_are_the_fold_output():
     mesh = torus_tri(12, 6)
-    mesh = refine_once(mesh.with_normals(naive_normals(mesh)), SchemeKind("lp", modified=True))
+    mesh = refine(mesh.with_normals(naive_normals(mesh)), SchemeKind("lp", modified=True), 1)
     step = refinement_step(mesh, "lp")
     _, normals = _circle_fold(mesh, step.table, step.plans)
-    assert np.array_equal(refine_once(mesh, SchemeKind("lp", modified=True)).normals, normals)
+    assert np.array_equal(refine(mesh, SchemeKind("lp", modified=True), 1).normals, normals)
 
 
 def test_antipodal_error_names_output_vertex_and_stencil():
     normals = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     with pytest.raises(AntipodalNormalsError) as err:
-        refine_once(tetrahedron().with_normals(normals), SchemeKind("lp", modified=True))
+        refine(tetrahedron().with_normals(normals), SchemeKind("lp", modified=True), 1)
     assert str(err.value) == (
         "antipodal normals while averaging output vertex 0 (stencil over [0, 1, 2, 3]): "
         "circle average undefined for antipodal normals; "
@@ -626,10 +627,10 @@ DEGENERATE = (
 
 
 def _scalar_error(mesh, base):
-    """The first error of the scalar path: the exception, its message as ``refine_once``
+    """The first error of the scalar path: the exception, its message as ``refine(mesh, scheme, 1)``
     words it, the output vertex, the fold step and the input vertex of that step.
 
-    The scalar path folds each output vertex's plan with :func:`circle_avg_3d`
+    The scalar path folds each output vertex's plan with :func:`oracle.circle_avg_3d`
     in vertex order and stops at the first error.
     """
     pnps = [Pnp(mesh.vertices[i], mesh.normals[i]) for i in range(mesh.vertex_count)]
@@ -639,7 +640,7 @@ def _scalar_error(mesh, base):
 
         def counted(a, b, w):
             folded.append(plan.steps[len(folded)][0])
-            return circle_avg_3d(a, b, w)
+            return oracle.circle_avg_3d(a, b, w)
 
         try:
             evaluate_plan(plan, pnps, counted)
@@ -661,7 +662,7 @@ def test_fold_errors_extend_the_scalar_error(base, make):
     with np.errstate(all="ignore"):  # the scalar path's numpy floats warn where chords overflow
         want, message, output, step, vertex = _scalar_error(mesh, base)
     with pytest.raises((AntipodalNormalsError, ValueError)) as err:
-        refine_once(mesh, SchemeKind(base, modified=True))
+        refine(mesh, SchemeKind(base, modified=True), 1)
     assert type(err.value) is type(want)
     got = str(err.value)
     assert got.startswith(message)
@@ -676,7 +677,7 @@ def test_a_flagged_row_that_pnp_accepts_never_returns(monkeypatch):
     monkeypatch.setattr(circle3d, "_invalid_pnp_rows", lambda p, n: np.ones(p.shape[1], bool))
     m = tetrahedron()
     with pytest.raises(AssertionError, match="output vertex 0 failed the fold but Pnp accepts"):
-        refine_once(m.with_normals(naive_normals(m)), SchemeKind("lp", modified=True))
+        refine(m.with_normals(naive_normals(m)), SchemeKind("lp", modified=True), 1)
 
 
 def test_non_finite_intermediate_point_raises_value_error():
@@ -684,4 +685,4 @@ def test_non_finite_intermediate_point_raises_value_error():
     m = tetrahedron()
     huge = Mesh(m.vertices * 1e308, m.faces, normals=naive_normals(m))
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="point components must be finite"):
-        refine_once(huge, SchemeKind("lp", modified=True))
+        refine(huge, SchemeKind("lp", modified=True), 1)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from oracle import (
     AvgPlan,
     Stencil,
@@ -13,7 +14,7 @@ from oracle import (
     compile_plan,
     evaluate_plan,
 )
-from pnpsubdiv import Pnp, circle_avg_3d
+from pnpsubdiv import Pnp
 from pnpsubdiv.errors import AffineWeightError
 from pnpsubdiv.stencil import StencilTable, compile_table
 
@@ -124,7 +125,7 @@ def test_circle_average_with_equal_normals_matches_affine(rng):
     st = Stencil(tuple((i, w) for i, w in enumerate(weights)))
     plan = compile_plan(st)
     direct = sum(w * p for w, p in zip(weights, pts))
-    via_circle = evaluate_plan(plan, pnps, circle_avg_3d)
+    via_circle = evaluate_plan(plan, pnps, oracle.circle_avg_3d)
     assert np.allclose(via_circle.point, direct, atol=1e-12)
     assert np.allclose(via_circle.normal, n)
 
@@ -185,8 +186,8 @@ def test_order_insensitivity_recorded(rng):
             n /= np.linalg.norm(n)
             n = n if n[2] > 0 else -n  # keep angles well away from pi
             pnps.append(Pnp(base + rng.normal(size=3), n))
-        a = evaluate_plan(compile_plan(st), pnps, circle_avg_3d)
-        b = evaluate_plan(compile_plan(alt), pnps, circle_avg_3d)
+        a = evaluate_plan(compile_plan(st), pnps, oracle.circle_avg_3d)
+        b = evaluate_plan(compile_plan(alt), pnps, oracle.circle_avg_3d)
         spread = max(spread, float(np.linalg.norm(a.point - b.point)))
     print(f"\nrecorded: circle-average spread across summand orders = {spread:.3e}")
     assert math.isfinite(spread)
