@@ -11,6 +11,9 @@ auxiliary arc.
 The construction is written once, as the row kernel ``_circle_avg_rows``
 that refines whole mesh levels; :func:`circle_avg_3d` is one row of it. The
 scalar reference the tests hold the kernel to lives in ``tests/oracle.py``.
+The kernel has no Python loop over rows: the normal angle is fdlibm's
+``atan2`` written in array arithmetic (``geom._atan2_rows``), the same
+formula the reference evaluates on floats.
 
 Also provided is :func:`deviation_from_chord`, the closed-form distance
 between the averaged point and the chord point ``(1 - w) p0 + w p1`` (where
@@ -81,31 +84,31 @@ def _circle_avg_rows(p0, n0, p1, n1, w):
     :class:`AntipodalNormalsError`, and the rows whose result :class:`Pnp`
     rejects. :func:`circle_avg_3d` checks the normals first, so a row in both
     masks raises the antipodal error. The branches of the construction
-    (endpoint weights, linear limit, helix) are masks, and every row equals
-    the scalar reference of the test suite bit for bit.
+    (endpoint weights, linear limit, helix) are masks, each merged only when
+    some row takes it, and every row equals the scalar reference of the test
+    suite bit for bit.
     """
-    # every branch runs on every row, and the rows a branch is not taken on
-    # may divide by zero there; rows that really fail are in the mask
+    # the helix runs on every row, and may divide by zero on the rows a branch
+    # replaces; a branch is merged only when its mask has a row, and rows
+    # that really fail are in the masks returned
     with np.errstate(all="ignore"):
         theta, antipodal, c, cn = _angle_rows(n0, n1)
 
         nm = _slerp_rows(n0, n1, w, theta)
-        linear = (
-            (1.0 - w) * p0[0] + w * p1[0],
-            (1.0 - w) * p0[1] + w * p1[1],
-            (1.0 - w) * p0[2] + w * p1[2],
-        )
         zt = (c[0] / cn, c[1] / cn, c[2] / cn)
         h = _dot((p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]), zt)
         p1s = (p1[0] - h * zt[0], p1[1] - h * zt[1], p1[2] - h * zt[2])
         arc = _arc_point_rows(p0, p1s, w, theta, c, zt)
         wh = w * h
-        helix = (arc[0] + wh * zt[0], arc[1] + wh * zt[1], arc[2] + wh * zt[2])
+        pt = np.array((arc[0] + wh * zt[0], arc[1] + wh * zt[1], arc[2] + wh * zt[2]))
 
-        pt = np.where(theta < _THETA_LINEAR, linear, helix)
+        linear = theta < _THETA_LINEAR
+        if linear.any():
+            pt = np.where(linear, (1.0 - w) * p0 + w * p1, pt)
         start, end = w == 0.0, w == 1.0
-        pt = np.where(start, p0, np.where(end, p1, pt))
-        nm = np.where(start, n0, np.where(end, n1, nm))
+        if start.any() or end.any():
+            pt = np.where(start, p0, np.where(end, p1, pt))
+            nm = np.where(start, n0, np.where(end, n1, nm))
         invalid = _invalid_pnp_rows(pt, nm)
     return pt, nm, antipodal, invalid
 

@@ -18,7 +18,10 @@ of the circle average is written once, as a row kernel (``_angle_rows``,
 ``_slerp_rows``, ``_arc_point_rows``) over triples of component arrays: mesh
 refinement runs them on whole levels, and the public functions run them on
 one row. The scalar reference the tests hold these kernels to lives in
-``tests/oracle.py``.
+``tests/oracle.py``. Angles come from ``_atan2_rows``, fdlibm's ``atan2``
+written with ``+ - * /`` and comparisons only; the reference evaluates the
+same formula on Python floats, so the two agree bit for bit without
+relying on the host's ``atan2``.
 """
 
 from __future__ import annotations
@@ -52,6 +55,48 @@ _ANTIPODAL = 1e-9       # pi - angle below which normals count as opposite
 _THETA_LINEAR = 1e-9    # normal angle below which averaging is linear
 _COINCIDENT = 1e-12     # norm of a sum of unit wedge normals that counts as cancelled
 _CARRIER = 1e-9         # out-of-plane tilt of a point or normal off the carrier plane
+
+# atan2 after fdlibm's e_atan2.c and s_atan.c. The ratio t = y / |x| falls in
+# one of five intervals, split at _ATAN_EDGES. On interval k, with
+# P, Q = _ATAN_P[k], _ATAN_Q[k], the reduced argument a = (P t - Q) / (P + Q t)
+# is t, (2t - 1) / (2 + t), (t - 1) / (t + 1), (t - 1.5) / (1 + 1.5t) or -1/t,
+# each as fdlibm computes it, and atan(t) = _ATAN_HI[k] + _ATAN_LO[k] + atan(a)
+# with atan(a) an odd polynomial of degree 23 whose coefficients are _ATAN_T.
+# Only + - * / and comparisons are used, which IEEE 754 rounds alike on
+# NumPy arrays and Python floats.
+_ATAN_EDGES = (0.4375, 0.6875, 1.1875, 2.4375)
+_ATAN_P = (1.0, 2.0, 1.0, 1.0, 0.0)
+_ATAN_Q = (0.0, 1.0, 1.0, 1.5, 1.0)
+_ATAN_HI = (  # atan(0), atan(0.5), atan(1), atan(1.5), atan(inf): leading part
+    0.0,
+    4.63647609000806093515e-01,
+    7.85398163397448278999e-01,
+    9.82793723247329054082e-01,
+    1.57079632679489655800e+00,
+)
+_ATAN_LO = (  # and the rest
+    0.0,
+    2.26987774529616870924e-17,
+    3.06161699786838301793e-17,
+    1.39033110312309984516e-17,
+    6.12323399573676603587e-17,
+)
+_ATAN_T = (
+    3.33333333333329318027e-01,
+    -1.99999999998764832476e-01,
+    1.42857142725034663711e-01,
+    -1.11111104054623557880e-01,
+    9.09088713343650656196e-02,
+    -7.69187620504482999495e-02,
+    6.66107313738753120669e-02,
+    -5.83357013379057348645e-02,
+    4.97687799461593236017e-02,
+    -3.65315727442169155270e-02,
+    1.62858201153657823623e-02,
+)
+_ATAN_BIG = 2.0 ** 66   # cap on t: atan(t) is _ATAN_HI[4] beyond it, and 0 * t stays finite
+_PI_LO = 1.2246467991473531772e-16  # pi - math.pi
+_ATAN_ARRAYS = tuple(np.array(c) for c in (_ATAN_P, _ATAN_Q, _ATAN_HI, _ATAN_LO))
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +226,60 @@ def z_dir(u, v) -> np.ndarray:
     return np.array((c[0] / cn, c[1] / cn, c[2] / cn))
 
 
+def _atan2_rows(y, x):
+    """``atan2(y, x)`` over arrays of one shape with ``y >= 0``, after
+    fdlibm (see ``_ATAN_T``).
+
+    Within 1 ulp of ``math.atan2``, and equal to it where ``y`` is 0, ``x``
+    is 0 or infinite, or an argument is nan. Like fdlibm, it rounds
+    ``pi/2 + |x|/y`` for ``x < 0`` and ``|x| << y`` one ulp up. The scalar
+    reference of the tests computes the same floats.
+    """
+    with np.errstate(all="ignore"):
+        t = y / np.abs(x)
+        np.minimum(t, _ATAN_BIG, out=t)
+        nan = np.flatnonzero(np.isnan(t))  # 0/0, inf/inf or a nan argument
+        if len(nan):
+            t[nan[np.isinf(y[nan]) & np.isinf(x[nan])]] = 1.0  # atan2(inf, +-inf) = atan2(1, +-1)
+        # interval index: the number of edges at or below t
+        k = (t >= _ATAN_EDGES[0]).view(np.int8)
+        for edge in _ATAN_EDGES[1:]:
+            k += t >= edge
+        p, q, hi, lo = (c.take(k) for c in _ATAN_ARRAYS)
+        a = p * t
+        a -= q
+        q *= t
+        q += p
+        a /= q
+        z = a * a
+        w = z * z
+        # s1 = z (T0 + w (T2 + ... + w T10)), s2 = w (T1 + w (T3 + ... + w T9)), by Horner
+        s1 = w * _ATAN_T[10]
+        for c in _ATAN_T[8:0:-2]:
+            s1 += c
+            s1 *= w
+        s1 += _ATAN_T[0]
+        s1 *= z
+        s2 = w * _ATAN_T[9]
+        for c in _ATAN_T[7::-2]:
+            s2 += c
+            s2 *= w
+        # atan(t) = hi - ((a (s1 + s2) - lo) - a)
+        s1 += s2
+        s1 *= a
+        s1 -= lo
+        s1 -= a
+        hi -= s1
+        # x < 0: atan2 = pi - (atan(t) - pi_lo)
+        np.subtract(hi, _PI_LO, out=s1)
+        np.subtract(math.pi, s1, out=s1)
+        np.copyto(hi, s1, where=x < 0.0)
+        if len(nan):
+            zero = nan[(y[nan] == 0.0) & (x[nan] == 0.0)]
+            hi[zero] = np.where(np.signbit(x[zero]), math.pi, 0.0)
+    return hi
+
+
 def _angle_rows(n0, n1):
     """Angles in [0, pi] between rows of vectors, with the antipodal mask.
 
@@ -188,13 +287,14 @@ def _angle_rows(n0, n1):
     vector broadcast over the other's rows). Returns ``theta``, the mask of
     the rows :func:`geodesic_avg` rejects as antipodal, and the cross
     products ``n0 x n1`` with their norms, which the circle average reuses.
-    ``theta`` is ``atan2(|n0 x n1|, n0 . n1)``, accurate for tiny angles. It
-    is taken with ``math.atan2``, not ``np.arctan2``, whose SIMD loop can
-    differ from the scalar reference in the last bit.
+    ``theta`` is ``atan2(|n0 x n1|, n0 . n1)``, accurate for tiny angles,
+    taken with :func:`_atan2_rows`. That is fdlibm's formula in ``+ - * /``
+    alone, so the scalar reference of the tests, which evaluates the same
+    formula on Python floats, gets the same bits on any IEEE host.
     """
     c = _cross(n0, n1)
     cn = np.sqrt(_dot(c, c))
-    theta = np.fromiter(map(math.atan2, cn.tolist(), _dot(n0, n1).tolist()), float, len(cn))
+    theta = _atan2_rows(cn, _dot(n0, n1))
     return theta, theta >= math.pi - _ANTIPODAL, c, cn
 
 
@@ -205,6 +305,7 @@ def _slerp_rows(n0, n1, w, theta):
     arrays of the same length; ``theta`` is the angle between the unit
     vectors, already checked to be below pi. Works for every real ``w``
     other than 0 and 1, which the callers return as ``n0`` and ``n1``.
+    Returns the rotated vectors as a ``(3, m)`` array.
     """
     s = np.sin(theta)
     with np.errstate(divide="ignore", invalid="ignore"):  # s = 0 on rows taking the tiny branch
@@ -212,13 +313,12 @@ def _slerp_rows(n0, n1, w, theta):
         b = np.sin(w * theta) / s
     # parallel normals: any combination renormalizes back to n0
     tiny = theta < 1e-12
-    a = np.where(tiny, 1.0 - w, a)
-    b = np.where(tiny, w, b)
-    x = a * n0[0] + b * n1[0]
-    y = a * n0[1] + b * n1[1]
-    z = a * n0[2] + b * n1[2]
-    r = np.sqrt(x * x + y * y + z * z)
-    return (x / r, y / r, z / r)
+    if tiny.any():
+        a = np.where(tiny, 1.0 - w, a)
+        b = np.where(tiny, w, b)
+    v = np.array((a * n0[0] + b * n1[0], a * n0[1] + b * n1[1], a * n0[2] + b * n1[2]))
+    v /= np.sqrt(_dot(v, v))
+    return v
 
 
 def geodesic_avg(n0, n1, w: float) -> np.ndarray:
@@ -287,7 +387,10 @@ def _arc_point_rows(p0, p1, w, theta, orient, nz):
         0.5 * (p0[1] + p1[1]) + along_b * b[1] + along_t * t[1],
         0.5 * (p0[2] + p1[2]) + along_b * b[2] + along_t * t[2],
     )
-    return tuple(np.where(d == 0.0, start, arc) for start, arc in zip(p0, pt))
+    zero = d == 0.0
+    if zero.any():
+        pt = tuple(np.where(zero, start, arc) for start, arc in zip(p0, pt))
+    return pt
 
 
 def circle_avg_2d(P0: Pnp, P1: Pnp, w: float, carrier: Plane) -> Pnp:

@@ -6,7 +6,9 @@ floats. The library writes each step once, as a row kernel over arrays of
 components (``pnpsubdiv.geom._angle_rows``, ``_slerp_rows``,
 ``_arc_point_rows`` and ``pnpsubdiv.circle3d._circle_avg_rows``), and its
 public averages are one-row calls of those kernels. The tests require the
-same floats and the same errors from both.
+same floats and the same errors from both. Angles are taken with
+:func:`_atan2`, the library's fdlibm ``atan2`` on floats, so that agreement
+does not rest on the host's ``atan2``.
 
 A :class:`Stencil` is one affine combination, :func:`compile_plan` turns it
 into its chain of weighted binary averages and :func:`evaluate_plan` folds
@@ -25,6 +27,7 @@ tests use.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -39,7 +42,19 @@ from pnpsubdiv.errors import (
     NotInCarrierError,
     StencilError,
 )
-from pnpsubdiv.geom import _ANTIPODAL, _CARRIER, _THETA_LINEAR
+from pnpsubdiv.geom import (
+    _ANTIPODAL,
+    _ATAN_BIG,
+    _ATAN_EDGES,
+    _ATAN_HI,
+    _ATAN_LO,
+    _ATAN_P,
+    _ATAN_Q,
+    _ATAN_T,
+    _CARRIER,
+    _PI_LO,
+    _THETA_LINEAR,
+)
 from pnpsubdiv.stencil import _SUM_TOL, StencilTable
 
 
@@ -63,9 +78,35 @@ def _norm(a):
     return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
 
 
+def _atan2(y, x):
+    """``pnpsubdiv.geom._atan2_rows`` for one pair of floats with ``y >= 0``.
+
+    fdlibm's ``atan2`` with the library's constants and the same operations
+    in the same order, on Python floats: the same bits as the row kernel.
+    """
+    if y == 0.0 and x == 0.0:
+        return math.pi if math.copysign(1.0, x) < 0.0 else 0.0
+    if math.isinf(y) and math.isinf(x):
+        t = 1.0
+    else:
+        t = y / abs(x) if x != 0.0 else y * math.inf
+    if t > _ATAN_BIG:
+        t = _ATAN_BIG
+    k = bisect.bisect_right(_ATAN_EDGES, t)
+    p, q = _ATAN_P[k], _ATAN_Q[k]
+    a = (p * t - q) / (p + q * t)
+    z = a * a
+    w = z * z
+    T = _ATAN_T
+    s1 = z * (T[0] + w * (T[2] + w * (T[4] + w * (T[6] + w * (T[8] + w * T[10])))))
+    s2 = w * (T[1] + w * (T[3] + w * (T[5] + w * (T[7] + w * T[9]))))
+    r = _ATAN_HI[k] - ((a * (s1 + s2) - _ATAN_LO[k]) - a)
+    return math.pi - (r - _PI_LO) if x < 0.0 else r
+
+
 def _angle(a, b):
     """Angle in [0, pi] between two nonzero vectors, accurate for tiny angles."""
-    return math.atan2(_norm(_cross(a, b)), _dot(a, b))
+    return _atan2(_norm(_cross(a, b)), _dot(a, b))
 
 
 def _as_triple(v, what="vector"):

@@ -465,6 +465,44 @@ def test_rows_flag_exactly_the_pairs_the_scalar_average_rejects():
     assert (antipodal | invalid).tolist() == rejected
 
 
+def _rotated(rng, n0, angle):
+    axis = np.cross(n0, random_unit(rng))
+    axis /= np.linalg.norm(axis)
+    n1 = n0 * math.cos(angle) + np.cross(axis, n0) * math.sin(angle)
+    return n1 / np.linalg.norm(n1)
+
+
+def test_rows_merge_each_branch_only_where_a_row_takes_it(rng):
+    """The kernel merges a branch only when some row takes it: a batch that
+    takes none and a batch that mixes every branch into the same ordinary
+    rows both equal the scalar oracle, and so each other, bit for bit."""
+    ordinary = [random_pnp_pair(rng, spread=float(rng.uniform(0.1, 10.0))) for _ in range(12)]
+    weights = [float(rng.uniform(-0.5, 1.5)) for _ in ordinary]
+    branch, branch_weights = [], []
+    for _ in range(3):
+        a, b = random_pnp_pair(rng)
+        n0 = a.normal
+        branch += [
+            (a, Pnp(b.point, n0)),  # equal normals: linear limit and tiny-theta slerp
+            (a, Pnp(b.point, _rotated(rng, n0, 1e-13))),  # theta < 1e-12
+            (a, Pnp(b.point, _rotated(rng, n0, 1e-10))),  # linear limit only
+            (a, Pnp(a.point, b.normal)),  # duplicate points: zero chord
+            (a, b),  # w = 0
+            (a, b),  # w = 1
+        ]
+        branch_weights += [0.375, 1.25, -0.0625, 0.625, 0.0, 1.0]
+    none = _rows(ordinary, weights)
+    _assert_rows_equal(none, [oracle.circle_avg_3d(a, b, w) for (a, b), w in zip(ordinary, weights)])
+    order = rng.permutation(len(ordinary) + len(branch))
+    pairs = [(ordinary + branch)[i] for i in order]
+    mixed_weights = [(weights + branch_weights)[i] for i in order]
+    _assert_rows_equal(*_rows_vs_scalar(pairs, mixed_weights))
+    mixed = _rows(pairs, mixed_weights)
+    at = np.argsort(order)[: len(ordinary)]  # where the ordinary rows went
+    assert np.array_equal(mixed[0][:, at], none[0])
+    assert np.array_equal(mixed[1][:, at], none[1])
+
+
 # ---------------------------------------------------------------------------
 # the public averages are one-row kernel calls: bit-identical to the scalar oracle
 # ---------------------------------------------------------------------------

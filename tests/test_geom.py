@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from meshes import random_rotation, random_unit
+import oracle
 from pnpsubdiv import (
     Plane,
     Pnp,
@@ -17,6 +18,7 @@ from pnpsubdiv.errors import (
     DegenerateCrossError,
     NotInCarrierError,
 )
+from pnpsubdiv.geom import _atan2_rows
 
 XY = Plane((0, 0, 0), (0, 0, 1))
 
@@ -301,3 +303,63 @@ def test_np_sin_equals_math_sin_on_the_kernel_range():
     want = np.fromiter(map(math.sin, args.tolist()), float, args.size)
     differ = np.count_nonzero(got.view(np.int64) != want.view(np.int64))
     assert differ == 0, f"np.sin differs from math.sin on {differ} of {args.size} inputs"
+
+
+# ---------------------------------------------------------------------------
+# atan2 without the host's libm
+# ---------------------------------------------------------------------------
+
+def _kernel_range_atan2_args():
+    """``(|n0 x n1|, n0 . n1)`` over the kernel's angles, with theta near 0 and pi."""
+    rng = np.random.default_rng(11)
+    theta = np.concatenate([
+        rng.uniform(0.0, math.pi, 80_000),
+        10.0 ** rng.uniform(-16.0, -2.0, 10_000),
+        math.pi - 10.0 ** rng.uniform(-15.0, -2.0, 10_000),
+    ])
+    # unit normals off by up to 1e-10 in norm, as the fold's inputs may be
+    scale = 1.0 + rng.uniform(-1e-10, 1e-10, theta.size)
+    return np.abs(np.sin(theta)) * scale, np.cos(theta) * scale
+
+
+def _ulps(got, want):
+    return np.abs(got.view(np.int64) - want.view(np.int64))
+
+
+def test_atan2_rows_within_one_ulp_of_math_atan2_on_the_kernel_range():
+    y, x = _kernel_range_atan2_args()
+    got = _atan2_rows(y, x)
+    want = np.fromiter(map(math.atan2, y.tolist(), x.tolist()), float, y.size)
+    assert _ulps(got, want).max() <= 1
+
+
+def test_atan2_rows_equals_math_atan2_on_special_values():
+    tiny = 5e-324
+    pairs = [
+        (0.0, 0.0), (0.0, -0.0), (0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (1.0, -0.0),
+        (tiny, 1.0), (tiny, -1.0), (tiny, 0.0), (1.0, tiny),
+        (math.inf, 1.0), (1.0, math.inf), (1.0, -math.inf),
+        (0.0, math.inf), (0.0, -math.inf), (math.inf, math.inf), (math.inf, -math.inf),
+        (math.inf, 0.0), (1.0, 1.0), (1.0, -1.0), (1e300, 1e-300), (1e-300, 1e300),
+        (math.nan, 1.0), (1.0, math.nan), (0.0, math.nan), (math.nan, 0.0), (math.nan, math.nan),
+    ]
+    y = np.array([p[0] for p in pairs])
+    x = np.array([p[1] for p in pairs])
+    with np.errstate(all="raise"):  # the function keeps its own floating-point state
+        got = _atan2_rows(y, x)
+    for (yi, xi), g in zip(pairs, got.tolist()):
+        want = math.atan2(yi, xi)
+        assert g == want or (math.isnan(g) and math.isnan(want)), (yi, xi, g, want)
+        t = oracle._atan2(yi, xi)
+        assert t == want or (math.isnan(t) and math.isnan(want)), (yi, xi, t, want)
+    # fdlibm's pi - (atan(t) - pi_lo) for x < 0 rounds pi/2 + tiny one ulp up
+    y, x = np.array([1.0, math.inf]), np.array([-tiny, -1.0])
+    assert _ulps(_atan2_rows(y, x), np.full(2, math.pi / 2)).max() == 1
+
+
+def test_atan2_rows_equals_the_scalar_reference_bit_for_bit():
+    y, x = _kernel_range_atan2_args()
+    y, x = y[::5], x[::5]
+    got = _atan2_rows(y, x)
+    want = np.fromiter(map(oracle._atan2, y.tolist(), x.tolist()), float, y.size)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

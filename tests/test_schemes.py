@@ -686,3 +686,46 @@ def test_non_finite_intermediate_point_raises_value_error():
     huge = Mesh(m.vertices * 1e308, m.faces, normals=naive_normals(m))
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="point components must be finite"):
         refine(huge, SchemeKind("lp", modified=True), 1)
+
+
+# ---------------------------------------------------------------------------
+# numbering that keeps relative order keeps the floats
+# ---------------------------------------------------------------------------
+
+def _interleaved(a: Mesh, b: Mesh, rng) -> Mesh:
+    """The disjoint union of ``a`` and ``b``, their vertices and faces
+    interleaved at random in each mesh's own order."""
+    va = np.sort(rng.choice(a.vertex_count + b.vertex_count, a.vertex_count, replace=False))
+    vb = np.setdiff1d(np.arange(a.vertex_count + b.vertex_count), va)
+    fa = np.sort(rng.choice(a.face_count + b.face_count, a.face_count, replace=False))
+    fb = np.setdiff1d(np.arange(a.face_count + b.face_count), fa)
+    vertices = np.empty((len(va) + len(vb), 3))
+    normals = np.empty_like(vertices)
+    faces = np.empty((len(fa) + len(fb), a.arity), dtype=a.faces.dtype)
+    vertices[va], vertices[vb] = a.vertices, b.vertices
+    normals[va], normals[vb] = a.normals, b.normals
+    faces[fa], faces[fb] = va[a.faces], vb[b.faces]
+    return Mesh(vertices, faces, normals=normals)
+
+
+@pytest.mark.parametrize("modified", [False, True])
+@pytest.mark.parametrize("base", ALL_BASES)
+def test_refine_of_an_interleaved_union_returns_each_part_bit_for_bit(base, modified, rng):
+    """Tie breaks go by ascending index, edges are numbered in corner order
+    and child rows are vertices, then edges, then faces: all keep relative
+    order, so a mesh refines to the same floats inside any union that
+    numbers it in its own order."""
+    torus = _posed_torus(base, rng, "naive")
+    other = torus_quad(5, 4) if _ARITY[base] == 4 else torus_tri(5, 4)
+    other = Mesh(other.vertices + 100.0, other.faces)  # far apart, to sort the outputs by
+    other = other.with_normals(naive_normals(other))
+    union = _interleaved(torus, other, rng)
+    scheme = SchemeKind(base, modified)
+    for iters in (1, 2):
+        want = refine(torus, scheme, iters)
+        got = refine(union, scheme, iters)
+        mine = got.vertices[:, 0] < 50.0
+        label = np.cumsum(mine) - 1  # the union's output vertex -> the torus's
+        assert np.array_equal(got.vertices[mine], want.vertices)
+        assert np.array_equal(got.normals[mine], want.normals)
+        assert np.array_equal(label[got.faces[mine[got.faces[:, 0]]]], want.faces)
