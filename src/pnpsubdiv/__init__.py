@@ -10,15 +10,8 @@ turns each of them into a scheme refining point-normal pairs, so the shape
 of the limit surface can be edited through the initial normals alone.
 """
 
-from .circle3d import circle_avg_3d, deviation_from_chord
-from .geom import (
-    Plane,
-    Pnp,
-    angle_between,
-    circle_avg_2d,
-    geodesic_avg,
-    z_dir,
-)
+from .circle3d import circle_avg_3d
+from .geom import Plane, Pnp, angle_between, circle_avg_2d, geodesic_avg
 from .mesh import Mesh, load_obj, naive_normals, save_obj, save_ply
 from .metrics import (
     MetricsReport,
@@ -45,7 +38,6 @@ __all__ = [
     "circle_avg_3d",
     "curvature",
     "curvature_colors",
-    "deviation_from_chord",
     "dihedral_angles",
     "geodesic_avg",
     "load_obj",
@@ -56,6 +48,5 @@ __all__ = [
     "refine",
     "save_obj",
     "save_ply",
-    "z_dir",
     "zeta",
 ]

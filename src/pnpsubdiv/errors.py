@@ -52,14 +52,6 @@ class AntipodalNormalsError(NumericDegeneracyError):
     """Two normals are opposite; the averaging construction is undefined."""
 
 
-class DegenerateCrossError(NumericDegeneracyError):
-    """A cross product of (near-)parallel vectors has no usable direction."""
-
-
-class ParallelNormalsError(NumericDegeneracyError):
-    """Two normals coincide; the requested quantity exists only as a limit."""
-
-
 class NotInCarrierError(NumericDegeneracyError):
     """A point-normal pair does not lie in the required carrier plane."""
 

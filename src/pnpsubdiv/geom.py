@@ -4,11 +4,17 @@ A point-normal pair (:class:`Pnp`) is the element every modified subdivision
 scheme refines: a 3D position plus a unit normal. This module provides the
 elementary vector operations those schemes are built from:
 
-* :func:`z_dir` -- normalized cross product direction,
+* :func:`angle_between` -- the angle between two vectors, accurate for tiny
+  angles,
 * :func:`geodesic_avg` -- rotate one unit vector toward another by a weighted
   fraction of the angle between them (defined for every real weight),
 * :func:`circle_avg_2d` -- the in-plane circle average: the normal is the
   geodesic average and the point travels along an auxiliary circular arc.
+
+No library path calls :func:`circle_avg_2d`, :class:`Plane` or
+:class:`~pnpsubdiv.errors.NotInCarrierError`. They stay public because the
+planar average is the paper's starting point: the 3D circle average extends
+it, and reduces to it for pairs in a common plane, which the tests check.
 
 Everything here is a pure function of immutable values, so results may be
 shared freely across threads.
@@ -30,17 +36,12 @@ import math
 
 import numpy as np
 
-from .errors import (
-    AntipodalNormalsError,
-    DegenerateCrossError,
-    NotInCarrierError,
-)
+from .errors import AntipodalNormalsError, NotInCarrierError
 
 __all__ = [
     "Pnp",
     "Plane",
     "angle_between",
-    "z_dir",
     "geodesic_avg",
     "circle_avg_2d",
 ]
@@ -50,7 +51,7 @@ __all__ = [
 # a ratio, never a length, so no check depends on the scale of the coordinates
 # and a refinement commutes with scaling.
 _UNIT_NORM = 1e-9       # |norm - 1| allowed for unit vectors
-_CROSS = 1e-12          # relative cross-product norm below which z_dir fails
+_CROSS = 1e-12          # relative cross-product norm of a degenerate corner or face
 _ANTIPODAL = 1e-9       # pi - angle below which normals count as opposite
 _THETA_LINEAR = 1e-9    # normal angle below which averaging is linear
 _COINCIDENT = 1e-12     # norm of a sum of unit wedge normals that counts as cancelled
@@ -208,22 +209,6 @@ def angle_between(u, v) -> float:
     with np.errstate(all="ignore"):
         theta = _angle_rows(_as_vector(u, "u")[:, None], _as_vector(v, "v")[:, None])[0]
     return float(theta[0])
-
-
-def z_dir(u, v) -> np.ndarray:
-    """Unit vector in the direction of ``u x v``.
-
-    Raises :class:`DegenerateCrossError` when the cross product norm falls
-    below ``cross * |u| * |v|``, i.e. when the inputs are parallel or one of
-    them vanishes.
-    """
-    ut = tuple(_as_vector(u, "u"))
-    vt = tuple(_as_vector(v, "v"))
-    c = _cross(ut, vt)
-    cn = _norm(c)
-    if cn <= _CROSS * _norm(ut) * _norm(vt) or cn == 0.0:
-        raise DegenerateCrossError("cross product direction undefined for (near-)parallel vectors")
-    return np.array((c[0] / cn, c[1] / cn, c[2] / cn))
 
 
 def _atan2_rows(y, x):

@@ -6,7 +6,7 @@ every face is a triangle or every face is a quad, every edge has exactly
 two incident faces with opposite orientations, and the faces around each
 vertex close into a single umbrella. Only constructed meshes are validated.
 A refined level inherits its topology from its parent: the 1-to-4 split of
-a valid mesh is valid by construction, and its half-edge arrays follow from
+a valid mesh is valid by construction, and its ``twin`` array follows from
 the parent's by index arithmetic, with no sort and no search
 (:meth:`Mesh._split_topology`). Its vertices are still checked to be finite and
 its normals to be unit length.
@@ -16,13 +16,14 @@ Processing*, ch. 2). With ``a`` the face arity, corner ``h = a * f + j`` is
 the half-edge from ``faces[f, j]`` to ``faces[f, (j + 1) % a]``. Its origin,
 its successor and predecessor in the face, and its face are arithmetic on
 ``h`` (:attr:`Mesh.origin`, :meth:`Mesh.next_half`, :meth:`Mesh.prev_half`,
-``h // a``). Two arrays are stored, one entry per half-edge: ``twin[h]``,
-the opposite half-edge in the neighbouring face, and ``edge[h]``, the
-undirected edge ``h`` runs along. Edges are numbered by their ``u < v``
-half-edges in corner order; ``edges[e]`` is ``(u, v)`` and
-``edge_faces[e]`` the faces of that half-edge and of its twin.
-``twin[prev(h)]`` is the next half-edge out of the same vertex, so one-rings
-are walks around a vertex (:meth:`Mesh.around`).
+``h // a``). One array is stored beside ``faces``, one entry per
+half-edge: ``twin[h]``, the opposite half-edge in the neighbouring face.
+The edge numbering is derived from the two on access, not stored: edges
+are numbered by their ``u < v`` half-edges in corner order
+(:meth:`Mesh.edge_halves`), ``edges[e]`` is ``(u, v)`` and ``edge[h]`` the
+undirected edge ``h`` runs along. ``twin[prev(h)]`` is the next half-edge
+out of the same vertex, so one-rings are walks around a vertex
+(:meth:`Mesh.around`).
 
 Each face corner is exactly one wedge of its vertex's one-ring (for quads
 the wedge spans the two face edges at the corner, not the diagonal), so
@@ -62,7 +63,7 @@ _NORMAL_SLACK = 1e-6
 class Mesh:
     """Indexed closed 2-manifold mesh, all triangles or all quads."""
 
-    __slots__ = ("vertices", "normals", "faces", "edges", "edge_faces", "twin", "edge")
+    __slots__ = ("vertices", "normals", "faces", "twin")
 
     def __init__(self, vertices, faces, normals=None):
         verts = np.array(vertices, dtype=float)
@@ -108,7 +109,7 @@ class Mesh:
         return arr
 
     def _build_half_edges(self):
-        """Validate the topology and store ``twin``, ``edge``, ``edges`` and ``edge_faces``.
+        """Validate the topology and store ``twin``, read-only.
 
         Each error names the first face, half-edge or vertex at fault. Faces
         are checked first (a repeated vertex, a directed edge used twice),
@@ -159,8 +160,8 @@ class Mesh:
             fault = "belongs to no face" if valence[p] == 0 else "has more than one face fan"
             raise NonManifoldError(f"vertex {p} {fault}")
 
-        for name, arr in _half_edge_arrays(faces, twin, dest).items():
-            object.__setattr__(self, name, arr)
+        twin.setflags(write=False)
+        object.__setattr__(self, "twin", twin)
 
     # -- the 1-to-4 split ------------------------------------------------------
 
@@ -183,21 +184,23 @@ class Mesh:
             pattern = [[0, 4, 8, 7], [1, 5, 8, 4], [2, 6, 8, 5], [3, 7, 8, 6]]
         return np.concatenate(cols, axis=1)[:, pattern].reshape(-1, self.arity)
 
-    def _split_topology(self) -> dict:
-        """Faces and half-edge arrays of the 1-to-4 split, read-only, by slot name.
+    def _split_topology(self) -> tuple[np.ndarray, np.ndarray]:
+        """``faces`` and ``twin`` of the 1-to-4 split, read-only.
 
         The split of a valid closed manifold is one, so nothing is validated:
         the faces are :meth:`_split_faces` and the twins follow from this
-        mesh's by index arithmetic (:meth:`_split_twins`). The arrays depend
-        on the faces only; :meth:`_on_topology` puts vertices on them.
+        mesh's by index arithmetic (:meth:`_split_twins`). Both depend on the
+        faces only; :meth:`_on_topology` puts vertices on them.
         """
-        faces = self._split_faces()
-        return _half_edge_arrays(faces, self._split_twins(), np.roll(faces, -1, axis=1).reshape(-1))
+        faces, twin = self._split_faces(), self._split_twins()
+        faces.setflags(write=False)
+        twin.setflags(write=False)
+        return faces, twin
 
     @staticmethod
-    def _on_topology(topology: dict, vertices, normals=None) -> "Mesh":
-        """The mesh with ``vertices`` and optional ``normals`` on ``topology``
-        (:meth:`_split_topology` of its parent), which it shares.
+    def _on_topology(faces, twin, vertices, normals=None) -> "Mesh":
+        """The mesh with ``vertices`` and optional ``normals`` on ``faces`` and
+        ``twin`` (:meth:`_split_topology` of its parent), which it shares.
 
         The topology is not validated again. Vertices must still be finite,
         and normals unit length.
@@ -208,8 +211,8 @@ class Mesh:
         child = object.__new__(Mesh)
         object.__setattr__(child, "vertices", verts)
         object.__setattr__(child, "normals", Mesh._checked_normals(normals, len(verts)))
-        for name, arr in topology.items():
-            object.__setattr__(child, name, arr)
+        object.__setattr__(child, "faces", faces)
+        object.__setattr__(child, "twin", twin)
         verts.setflags(write=False)
         return child
 
@@ -266,8 +269,27 @@ class Mesh:
         return self.twin[self.prev_half(h)]
 
     def edge_halves(self) -> np.ndarray:
-        """The ``u < v`` half-edge of every edge, aligned with ``edges``."""
+        """The ``u < v`` half-edge of every edge, in corner order: edge ``e`` is
+        the edge of ``edge_halves()[e]``.
+        """
         return np.flatnonzero(self.origin < self.dest(np.arange(len(self.origin))))
+
+    @property
+    def edges(self) -> np.ndarray:
+        """``(u, v)`` with ``u < v`` for every edge, shape ``(edge_count, 2)``,
+        built on access.
+        """
+        g = self.edge_halves()
+        return np.stack([self.origin[g], self.origin[self.twin[g]]], axis=1)
+
+    @property
+    def edge(self) -> np.ndarray:
+        """The edge every half-edge runs along, built on access."""
+        g = self.edge_halves()
+        edge = np.empty(len(self.twin), dtype=np.int64)
+        edge[g] = np.arange(len(g))
+        edge[self.twin[g]] = np.arange(len(g))
+        return edge
 
     # -- queries ------------------------------------------------------------
 
@@ -281,7 +303,7 @@ class Mesh:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.twin) // 2  # a closed mesh has two half-edges per edge
 
     @property
     def arity(self) -> int:
@@ -300,24 +322,6 @@ class Mesh:
             object.__setattr__(other, slot, getattr(self, slot))
         object.__setattr__(other, "normals", checked)
         return other
-
-
-def _half_edge_arrays(faces: np.ndarray, twin: np.ndarray, dest: np.ndarray) -> dict:
-    """``faces``, ``twin``, and the edges numbered by their ``u < v`` half-edges
-    in corner order (``edge``, ``edges``, ``edge_faces``), read-only, by slot name.
-    """
-    origin = faces.reshape(-1)
-    arity = faces.shape[1]
-    halves = np.flatnonzero(origin < dest)
-    edge = np.empty(len(origin), dtype=np.int64)
-    edge[halves] = np.arange(len(halves))
-    edge[twin[halves]] = np.arange(len(halves))
-    edges = np.stack([origin[halves], dest[halves]], axis=1)
-    edge_faces = np.stack([halves // arity, twin[halves] // arity], axis=1)
-    stored = {"faces": faces, "twin": twin, "edge": edge, "edges": edges, "edge_faces": edge_faces}
-    for arr in stored.values():
-        arr.setflags(write=False)
-    return stored
 
 
 # ---------------------------------------------------------------------------

@@ -65,13 +65,14 @@ def dihedral_angles(mesh: Mesh) -> np.ndarray:
     """
     verts, _ = _unit_scaled(mesh.vertices)
     faces = mesh.faces
+    halves = mesh.edge_halves()
     if mesh.arity == 3:
         fnorm = _unit_cross(
             verts[faces[:, 1]] - verts[faces[:, 0]],
             verts[faces[:, 2]] - verts[faces[:, 0]],
             "dihedral angles",
         )
-        return _row_angles(fnorm[mesh.edge_faces[:, 0]], fnorm[mesh.edge_faces[:, 1]])
+        return _row_angles(fnorm[halves // 3], fnorm[mesh.twin[halves] // 3])
 
     # one normal per half-edge, each along its own face's orientation, so
     # the two normals of a flat edge agree (angle 0)
@@ -80,7 +81,6 @@ def dihedral_angles(mesh: Mesh) -> np.ndarray:
     o1 = verts[mesh.origin[mesh.next_half(mesh.next_half(h))]]
     o2 = verts[mesh.origin[mesh.prev_half(h)]]
     side = _unit_cross(0.5 * (o1 + o2) - 0.5 * (a + b), b - a, "dihedral angles")
-    halves = mesh.edge_halves()
     return _row_angles(side[halves], side[mesh.twin[halves]])
 
 

@@ -38,11 +38,11 @@ meshes):
 
 Stencils read only local topology: one-rings, the two faces of an edge and
 the corners of a face. They are gathered for all output vertices at once
-from the mesh's half-edge arrays (see :mod:`pnpsubdiv.mesh`), and results
-are deterministic. The refined faces are the parent's 1-to-4 split
-(:meth:`Mesh._split_faces`), and each refined level takes its half-edge
-arrays from its parent's through that split (:meth:`Mesh._split_topology`);
-it is not validated again.
+from the mesh's ``faces`` and ``twin`` (see :mod:`pnpsubdiv.mesh`), and
+results are deterministic. The refined faces are the parent's 1-to-4 split
+(:meth:`Mesh._split_faces`), and each refined level takes its ``twin``
+from its parent's through that split (:meth:`Mesh._split_topology`); it is
+not validated again.
 
 A level's stencil table, refined topology and plans depend on the parent's
 faces only, never on its vertices or normals. A :class:`Refiner` builds
@@ -99,18 +99,16 @@ class SchemeKind:
 @dataclass(frozen=True)
 class RefinementStep:
     """One topological refinement: the stencil table of the output vertices and
-    the refined mesh's topology (:meth:`Mesh._split_topology`).
+    the refined mesh's ``faces`` and ``twin`` (:meth:`Mesh._split_topology`),
+    which every mesh evaluated on this step shares.
 
-    Both depend on the parent's faces only, and so do the plans of the table,
-    compiled the first time a modified evaluation needs them.
+    All three depend on the parent's faces only, and so do the plans of the
+    table, compiled the first time a modified evaluation needs them.
     """
 
     table: StencilTable
-    topology: dict
-
-    @property
-    def faces(self) -> np.ndarray:
-        return self.topology["faces"]
+    faces: np.ndarray
+    twin: np.ndarray
 
     @cached_property
     def plans(self) -> PlanTable:
@@ -124,8 +122,8 @@ class RefinementStep:
 # ``(rows, index, weight)``: one term ``(index[i], weight[i])`` of stencil
 # ``rows[i]`` per entry, ``weight`` a scalar or an array. Output rows are the
 # vertex points, then the edge points (``edges`` order), then for quads the
-# face points. ``g`` is the ``u < v`` half-edge of each edge ``(u, v)``, lying
-# in ``edge_faces[:, 0]``, and ``t`` its twin.
+# face points. ``g`` is the ``u < v`` half-edge of each edge ``(u, v)`` and
+# ``t`` its twin, so the edge's ends are ``origin[g]`` and ``origin[t]``.
 
 def _rows_and_halves(mesh: Mesh):
     """Rows of the vertex and edge points, each edge's ``u < v`` half-edge and its twin."""
@@ -144,8 +142,8 @@ def _loop_terms(mesh: Mesh) -> list:
     return [
         (p, p, 1.0 - valences[at] * beta),
         (origin, mesh.dest(np.arange(len(origin))), beta[origin]),
-        (e, mesh.edges[:, 0], 0.375),
-        (e, mesh.edges[:, 1], 0.375),
+        (e, origin[g], 0.375),
+        (e, origin[t], 0.375),
         (e, origin[mesh.prev_half(g)], 0.125),
         (e, origin[mesh.prev_half(t)], 0.125),
     ]
@@ -156,8 +154,8 @@ def _butterfly_terms(mesh: Mesh) -> list:
     origin = mesh.origin
     groups = [
         (p, p, 1.0),
-        (e, mesh.edges[:, 0], 0.5),
-        (e, mesh.edges[:, 1], 0.5),
+        (e, origin[g], 0.5),
+        (e, origin[t], 0.5),
         (e, origin[mesh.prev_half(g)], 0.125),
         (e, origin[mesh.prev_half(t)], 0.125),
     ]
@@ -177,8 +175,8 @@ def _cc_terms(mesh: Mesh) -> list:
         (p, p, (k - 1.75) / k),
         (origin, mesh.dest(h), (1.5 / (k * k))[origin]),
         (origin, origin[mesh.next_half(mesh.next_half(h))], (0.25 / (k * k))[origin]),
-        (e, mesh.edges[:, 0], 0.375),
-        (e, mesh.edges[:, 1], 0.375),
+        (e, origin[g], 0.375),
+        (e, origin[t], 0.375),
     ]
     for half in (g, t):
         groups.append((e, origin[mesh.next_half(mesh.next_half(half))], 0.0625))
@@ -196,8 +194,9 @@ def _k4_terms(mesh: Mesh) -> list:
     ``(c1, c2)`` and the edges parallel to them across those are regular.
     """
     p, e, g, t = _rows_and_halves(mesh)
-    k = np.bincount(mesh.origin, minlength=len(p))
-    a, b = mesh.edges[:, 0], mesh.edges[:, 1]
+    origin = mesh.origin
+    k = np.bincount(origin, minlength=len(p))
+    a, b = origin[g], origin[t]
     regular = (k[a] == 4) & (k[b] == 4)
     xa = mesh.dest(mesh.around(mesh.around(g)))
     xb = mesh.dest(mesh.around(mesh.around(t)))
@@ -211,10 +210,11 @@ def _k4_terms(mesh: Mesh) -> list:
     ]
 
     face_h = 4 * np.arange(mesh.face_count)
-    el = mesh.edge[face_h + 3]
-    er = mesh.edge[face_h + 1]
-    ell = mesh.edge[mesh.next_half(mesh.next_half(mesh.twin[face_h + 3]))]
-    err = mesh.edge[mesh.next_half(mesh.next_half(mesh.twin[face_h + 1]))]
+    edge = mesh.edge
+    el = edge[face_h + 3]
+    er = edge[face_h + 1]
+    ell = edge[mesh.next_half(mesh.next_half(mesh.twin[face_h + 3]))]
+    err = edge[mesh.next_half(mesh.next_half(mesh.twin[face_h + 1]))]
     tensor = regular[el] & regular[er] & regular[ell] & regular[err]
     f = len(p) + len(e) + np.arange(mesh.face_count)
     for edge_ids, coef in ((ell, -0.0625), (el, 0.5625), (er, 0.5625), (err, -0.0625)):
@@ -242,7 +242,7 @@ def refinement_step(mesh: Mesh, base: str) -> RefinementStep:
             f"scheme {base!r} refines arity-{_ARITY[base]} meshes, this mesh has arity {mesh.arity}"
         )
     count = mesh.vertex_count + mesh.edge_count + (mesh.face_count if mesh.arity == 4 else 0)
-    return RefinementStep(_merged_table(count, _TERMS[base](mesh)), mesh._split_topology())
+    return RefinementStep(_merged_table(count, _TERMS[base](mesh)), *mesh._split_topology())
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +327,11 @@ def _refined_level(mesh: Mesh, step: RefinementStep, modified: bool) -> Mesh:
         terms = table.weight[:, None] * mesh.vertices[table.index]
         rows = np.repeat(np.arange(len(table)), np.diff(table.indptr))
         points = np.stack([np.bincount(rows, terms[:, c], len(table)) for c in range(3)], axis=1)
-        return Mesh._on_topology(step.topology, points)
+        return Mesh._on_topology(step.faces, step.twin, points)
     if mesh.normals is None:
         raise MissingNormalsError("modified schemes refine point-normal pairs; attach normals")
     points, normals = _circle_fold(mesh, table, step.plans)
-    return Mesh._on_topology(step.topology, points, normals)
+    return Mesh._on_topology(step.faces, step.twin, points, normals)
 
 
 def _walk(mesh: Mesh, iters: int, modified: bool, step_at) -> Mesh:
@@ -351,7 +351,7 @@ class Refiner:
     once and evaluated on any number of vertex and normal sets.
 
     Per level it keeps the :class:`RefinementStep`: the stencil table, the
-    refined faces and half-edge arrays, and the plans once a modified
+    refined ``faces`` and ``twin``, and the plans once a modified
     evaluation has compiled them. They depend on the faces only. The first
     level is built from ``mesh``, so a wrong arity raises here; each deeper
     level the first time an evaluation reaches it, from that evaluation's

@@ -61,14 +61,13 @@ class StencilTable:
         must be nonnegative.
         """
         n = int(index.max(initial=-1)) + 1
+        # bincount adds each bin's weights to 0.0 one at a time in input order
         keys, slot = np.unique(rows * n + index, return_inverse=True)
-        summed = np.zeros(len(keys))
-        np.add.at(summed, slot, weight)
+        summed = np.bincount(slot, weight, len(keys))
         keep = summed != 0.0
         rows, index, weight = keys[keep] // n, keys[keep] % n, summed[keep]
 
-        total = np.zeros(count)
-        np.add.at(total, rows, weight)
+        total = np.bincount(rows, weight, count)
         bad = np.flatnonzero(~(np.abs(total - 1.0) <= _SUM_TOL))  # also refuses a nan weight
         lengths = np.bincount(rows, minlength=count)
         if len(bad):

@@ -93,11 +93,12 @@ def icosahedron() -> Mesh:
 def split_tri_midpoints(mesh: Mesh) -> Mesh:
     """1-to-4 topological split with edge midpoints (keeps flat faces flat)."""
     v = mesh.vertex_count
-    mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
+    edges, edge = mesh.edges, mesh.edge  # both built on access: once, not per face
+    mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     faces = []
     for fi, face in enumerate(mesh.faces):
         a, b, c = (int(x) for x in face)
-        eab, ebc, eca = (v + int(k) for k in mesh.edge[3 * fi : 3 * fi + 3])
+        eab, ebc, eca = (v + int(k) for k in edge[3 * fi : 3 * fi + 3])
         faces += [[a, eab, eca], [b, ebc, eab], [c, eca, ebc], [eab, ebc, eca]]
     return Mesh(np.vstack([mesh.vertices, mids]), faces)
 
@@ -106,12 +107,13 @@ def split_quad_midpoints(mesh: Mesh) -> Mesh:
     """1-to-4 quad split with edge midpoints and face centroids."""
     v = mesh.vertex_count
     e = mesh.edge_count
-    mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
+    edges, edge = mesh.edges, mesh.edge  # both built on access: once, not per face
+    mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     centers = mesh.vertices[mesh.faces].mean(axis=1)
     faces = []
     for fi, face in enumerate(mesh.faces):
         corners = [int(x) for x in face]
-        eids = [v + int(k) for k in mesh.edge[4 * fi : 4 * fi + 4]]
+        eids = [v + int(k) for k in edge[4 * fi : 4 * fi + 4]]
         center = v + e + fi
         for j in range(4):
             faces.append([corners[j], eids[j], center, eids[j - 1]])

@@ -22,7 +22,11 @@ same floats and errors.
 
 :func:`chord_point` and :func:`helix_trace` are the straight-chord and
 swept-weight views of the library's circle average that the circle-average
-tests use.
+tests use, :func:`z_dir` the direction the 3D average projects along, and
+:func:`deviation_from_chord` the closed-form distance between the averaged
+point and the chord point, an analytic check of the construction. Each of
+the last two raises an error class of its own, defined here:
+:class:`DegenerateCrossError` and :class:`ParallelNormalsError`.
 """
 
 from __future__ import annotations
@@ -35,11 +39,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 import pnpsubdiv
-from pnpsubdiv import Plane, Pnp
+from pnpsubdiv import Plane, Pnp, angle_between
 from pnpsubdiv.errors import (
     AffineWeightError,
     AntipodalNormalsError,
     NotInCarrierError,
+    NumericDegeneracyError,
     StencilError,
 )
 from pnpsubdiv.geom import (
@@ -52,6 +57,7 @@ from pnpsubdiv.geom import (
     _ATAN_Q,
     _ATAN_T,
     _CARRIER,
+    _CROSS,
     _PI_LO,
     _THETA_LINEAR,
 )
@@ -413,3 +419,66 @@ def helix_trace(P0: Pnp, P1: Pnp, samples: int) -> np.ndarray:
     for i in range(samples):
         out[i] = pnpsubdiv.circle_avg_3d(P0, P1, i / last).point
     return out
+
+
+# ---------------------------------------------------------------------------
+# closed forms of the 3D circle average
+# ---------------------------------------------------------------------------
+
+class DegenerateCrossError(NumericDegeneracyError):
+    """A cross product of (near-)parallel vectors has no usable direction."""
+
+
+class ParallelNormalsError(NumericDegeneracyError):
+    """Two normals coincide; the requested quantity exists only as a limit."""
+
+
+def z_dir(u, v) -> np.ndarray:
+    """Unit vector in the direction of ``u x v``.
+
+    Raises :class:`DegenerateCrossError` when the cross product norm falls
+    below ``cross * |u| * |v|``, i.e. when the inputs are parallel or one of
+    them vanishes.
+    """
+    ut = _as_triple(u, "u")
+    vt = _as_triple(v, "v")
+    c = _cross(ut, vt)
+    cn = _norm(c)
+    if cn <= _CROSS * _norm(ut) * _norm(vt) or cn == 0.0:
+        raise DegenerateCrossError("cross product direction undefined for (near-)parallel vectors")
+    return np.array((c[0] / cn, c[1] / cn, c[2] / cn))
+
+
+def deviation_from_chord(P0: Pnp, P1: Pnp, w: float) -> float:
+    """Closed-form distance between the averaged point and the chord point.
+
+    With ``g = |p1 - p0| sin(phi)`` the in-plane chord length, the squared
+    distance follows from the cosine rule in the triangle spanned by the
+    projected start point, the averaged point and the chord point::
+
+        g^2 * [ (w - R)^2 + 4 w R sin^2(theta (1 - w) / 4) ],
+        R = sin(theta w / 2) / sin(theta / 2)
+
+    which matches ``|circle_avg_3d(P0, P1, w).point - ((1 - w) p0 + w p1)|``
+    to rounding. Raises :class:`ParallelNormalsError` for ``theta = 0`` where
+    the ratio ``R`` exists only as a limit, and
+    :class:`AntipodalNormalsError` for opposite normals.
+    """
+    n0 = (P0.normal[0], P0.normal[1], P0.normal[2])
+    n1 = (P1.normal[0], P1.normal[1], P1.normal[2])
+    theta = angle_between(P0.normal, P1.normal)
+    if theta < _THETA_LINEAR:
+        raise ParallelNormalsError("deviation is defined only as a limit for parallel normals")
+    if theta >= math.pi - _ANTIPODAL:
+        raise AntipodalNormalsError("deviation undefined for antipodal normals")
+    chord = (
+        P1.point[0] - P0.point[0],
+        P1.point[1] - P0.point[1],
+        P1.point[2] - P0.point[2],
+    )
+    # phi, the angle between n0 x n1 and the chord, is 0 for a zero chord
+    g = _norm(chord) * math.sin(angle_between(_cross(n0, n1), chord))
+    r = math.sin(0.5 * w * theta) / math.sin(0.5 * theta)
+    ssq = math.sin(0.25 * theta * (1.0 - w))
+    dev2 = (w - r) ** 2 + 4.0 * w * r * ssq * ssq
+    return g * math.sqrt(max(dev2, 0.0))

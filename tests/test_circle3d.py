@@ -5,18 +5,17 @@ import pytest
 
 from meshes import random_pnp_pair, random_rotation, random_unit
 import oracle
-from oracle import chord_point, helix_trace
+from oracle import ParallelNormalsError, chord_point, deviation_from_chord, helix_trace, z_dir
 from pnpsubdiv import (
     Plane,
     Pnp,
     angle_between,
     circle_avg_2d,
     circle_avg_3d,
-    deviation_from_chord,
     geodesic_avg,
 )
 from pnpsubdiv.circle3d import _circle_avg_rows
-from pnpsubdiv.errors import AntipodalNormalsError, NotInCarrierError, ParallelNormalsError
+from pnpsubdiv.errors import AntipodalNormalsError, NotInCarrierError
 
 SQ2 = math.sqrt(0.5)
 
@@ -185,8 +184,6 @@ def test_consistency_outside_unit_interval_recorded(rng):
 
 
 def test_frame_invariance(rng):
-    from pnpsubdiv import z_dir
-
     for _ in range(60):
         p0, p1 = random_pnp_pair(rng)
         w = rng.uniform(0.0, 1.0)

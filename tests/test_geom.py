@@ -5,19 +5,15 @@ import pytest
 
 from meshes import random_rotation, random_unit
 import oracle
+from oracle import DegenerateCrossError, z_dir
 from pnpsubdiv import (
     Plane,
     Pnp,
     angle_between,
     circle_avg_2d,
     geodesic_avg,
-    z_dir,
 )
-from pnpsubdiv.errors import (
-    AntipodalNormalsError,
-    DegenerateCrossError,
-    NotInCarrierError,
-)
+from pnpsubdiv.errors import AntipodalNormalsError, NotInCarrierError
 from pnpsubdiv.geom import _atan2_rows
 
 XY = Plane((0, 0, 0), (0, 0, 1))

@@ -17,7 +17,7 @@ from meshes import (
     torus_tri,
     valence,
 )
-from pnpsubdiv import Mesh, load_obj, naive_normals, save_obj, save_ply
+from pnpsubdiv import Mesh, SchemeKind, load_obj, naive_normals, refine, save_obj, save_ply
 from pnpsubdiv.errors import (
     DegenerateCornerError,
     MeshParseError,
@@ -42,10 +42,43 @@ def test_cube_counts_and_valences():
     assert all(valence(m, v) == 3 for v in range(8))
 
 
+def _edges_from_faces(mesh):
+    """The edge numbering built from ``faces`` alone, one corner at a time:
+    the ``u < v`` half-edges in corner order, their ``(u, v)``, and the edge
+    number of every half-edge.
+    """
+    a = mesh.arity
+    halves, edges, number = [], [], {}
+    for f, face in enumerate(mesh.faces.tolist()):
+        for j in range(a):
+            u, v = face[j], face[(j + 1) % a]
+            if u < v:
+                assert (u, v) not in number
+                number[u, v] = len(edges)
+                halves.append(a * f + j)
+                edges.append((u, v))
+    edge = [number[min(u, v), max(u, v)] for face in mesh.faces.tolist()
+            for u, v in zip(face, face[1:] + face[:1])]
+    return halves, edges, edge
+
+
 def test_every_edge_has_two_faces():
-    for mesh in (cube(), octahedron(), icosahedron(), torus_quad(8, 6)):
-        assert mesh.edges.shape == (mesh.edge_count, 2)
-        assert mesh.edge_faces.shape == (mesh.edge_count, 2)
+    constructed = [cube(), octahedron(), icosahedron(), torus_quad(8, 6), lumpy_tube(8, 4)]
+    refined = [
+        refine(icosahedron(), SchemeKind("lp"), 2),
+        refine(lumpy_tube(8, 4), SchemeKind("by"), 1),
+        refine(torus_quad(8, 6), SchemeKind("cc"), 2),
+        refine(torus_quad(3, 3), SchemeKind("k4"), 1),
+    ]
+    for mesh in constructed + refined:
+        halves, edges, edge = _edges_from_faces(mesh)
+        assert mesh.edge_halves().tolist() == halves
+        assert mesh.edges.tolist() == [list(uv) for uv in edges]
+        assert (mesh.edges[:, 0] < mesh.edges[:, 1]).all()
+        assert mesh.edge.tolist() == edge
+        # every edge is the edge of exactly two half-edges, one per incident face
+        assert np.bincount(mesh.edge).tolist() == [2] * len(edges)
+        assert mesh.edge_count == len(mesh.twin) // 2 == len(edges)
         assert mesh.vertex_count - mesh.edge_count + mesh.face_count in (2, 0)
 
 
@@ -148,7 +181,7 @@ def test_with_normals_shares_topology():
     n = naive_normals(m)
     m2 = m.with_normals(n)
     assert m2.has_normals and not m.has_normals
-    assert m2.edges is m.edges
+    assert m2.twin is m.twin and m2.faces is m.faces
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,7 @@ def test_refined_topology_equals_the_validated_build(base):
         for level in range(1, 4):
             mesh = refine(mesh, SchemeKind(base), 1)
             built = Mesh(mesh.vertices, mesh.faces)
-            for name in ("twin", "edge", "edges", "edge_faces"):
+            for name in ("twin", "edge", "edges"):
                 assert np.array_equal(getattr(mesh, name), getattr(built, name)), (level, name)
 
 
@@ -318,8 +318,7 @@ def test_butterfly_on_tetrahedron_collapses_to_midpoint():
 def test_butterfly_regular_stencil_weights():
     m = tri_sphere(1)  # all valences 5 or 6
     stencils = _stencils(m, "by")
-    for eid in range(m.edge_count):
-        a, b = m.edges[eid]
+    for eid, (a, b) in enumerate(m.edges):
         if valence(m, int(a)) == 6 and valence(m, int(b)) == 6:
             weights = sorted(w for _, w in stencils[m.vertex_count + eid].terms)
             assert weights == pytest.approx([-1 / 16] * 4 + [1 / 8] * 2 + [1 / 2] * 2)
@@ -491,7 +490,10 @@ def test_refiner_evaluations_equal_refine(base, modified, rng):
         for normals in sets:
             posed = mesh.with_normals(normals)
             want = refine(posed, SchemeKind(base, modified), iters)
-            _assert_bit_identical(refiner.evaluate(posed, modified), want)
+            out = refiner.evaluate(posed, modified)
+            _assert_bit_identical(out, want)
+            # the last level is evaluated on its stored step's topology, not a copy
+            assert out.faces is refiner._steps[-1].faces and out.twin is refiner._steps[-1].twin
 
 
 @pytest.mark.parametrize("base", ALL_BASES)
